@@ -35,8 +35,6 @@ from .vnalg import (
     CornerEmbedding,
     amplify,
     amplify_combination,
-    amplify_element,
-    amplify_embedding,
     compress,
     corner,
     embed,
@@ -49,7 +47,6 @@ from .vnalg import (
 from .cpsemi import (
     CPMap,
     SemigroupFamily,
-    Superoperator,
     apply,
     apply_power,
     compose,
@@ -61,7 +58,6 @@ from .cpsemi import (
     leaky_damping_family,
     make_family,
     mixture_family,
-    power,
     rotation_family,
     to_superoperator,
     validate_cp,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -38,8 +39,6 @@ from .cpsemi import (
     damping_family,
     leaky_damping_family,
     rotation_family,
-    validate_cp,
-    validate_endomorphism,
     validate_family,
 )
 from .dilation import (
@@ -56,6 +55,7 @@ from .fixpoint import (
     ergodic_projection,
     fixed_space,
     kernel_ideal_check,
+    lift_fixed_point,
     phi_limit,
     pi_limit,
     property_suite,
@@ -87,7 +87,21 @@ class Config:
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ParseError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+        values = {}
+        for key, value in data.items():
+            integral = isinstance(getattr(cls, key), int)
+            if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
+                raise ParseError(f"config {key}: expected {'an integer' if integral else 'a number'}, got {value!r}")
+            if not integral:
+                try:
+                    value = float(value)
+                except OverflowError:
+                    value = math.inf
+            # seed, s_max and psd_floor may be zero; every other field must be positive
+            if not (value >= 0 if key in ("seed", "s_max", "psd_floor") else value > 0) or value == math.inf:
+                raise ParseError(f"config {key}: value {value!r} is out of range")
+            values[key] = value
+        return cls(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +310,7 @@ def print_report(rep: dict, stream=None) -> None:
 
 def write_report(rep: dict, out_path: str) -> None:
     rep = dict(rep)
-    rep["wall_time_s"] = time.time() - rep.pop("_t0", time.time())
+    rep["wall_time_s"] = time.perf_counter() - rep.pop("_t0", time.perf_counter())
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(rep, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -306,14 +320,15 @@ def write_report(rep: dict, out_path: str) -> None:
 # Commands
 
 
-def _validate_entries(problem: Problem) -> list:
+def _validate_entries(problem: Problem) -> tuple[list, SemigroupFamily]:
+    """Report rows for each map, the family and the projection, plus the family."""
+    family = SemigroupFamily(problem.structure, tuple(phi for _, _, phi in problem.maps))
+    frep = validate_family(family)
     entries = []
-    for name, kind, phi in problem.maps:
-        rep = validate_cp(phi)
+    for (name, kind, _), rep, endo in zip(problem.maps, frep.cp_reports, frep.endo_flags):
         ok = rep.is_cp and rep.is_contractive
         note = ""
         if kind == "endomorphism":
-            endo = validate_endomorphism(phi)
             ok = ok and endo
             if not endo:
                 note = "declared endomorphism is not multiplicative"
@@ -331,8 +346,6 @@ def _validate_entries(problem: Problem) -> list:
                 note,
             )
         )
-    family = SemigroupFamily(problem.structure, tuple(phi for _, _, phi in problem.maps))
-    frep = validate_family(family)
     worst_comm = max((c for _, _, c in frep.commutator_norms), default=0.0)
     entries.append(
         entry(
@@ -348,28 +361,26 @@ def _validate_entries(problem: Problem) -> list:
             entries.append(entry("projection", "PASS", {}))
         except NotProjection as exc:
             entries.append(entry("projection", "FAIL", {}, str(exc)))
-    return entries
+    return entries, SemigroupFamily(problem.structure, family.generators, frep.is_endomorphic)
 
 
 def cmd_validate(path: str, overrides: dict | None = None) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     problem = load_problem(path, overrides)
-    entries = _validate_entries(problem)
+    entries, _ = _validate_entries(problem)
     rep = make_report("validate", problem.config, entries, {"input": path})
     rep["_t0"] = t0
     return rep
 
 
 def _checked_family(problem: Problem, require_endomorphic: bool = False) -> SemigroupFamily:
-    entries = _validate_entries(problem)
+    entries, family = _validate_entries(problem)
     bad = [e for e in entries if e["status"] != "PASS"]
     if bad:
         raise ValidationFailed(f"input fails validation: {bad[0]['task']} ({bad[0]['note'] or 'see report'})")
-    family = SemigroupFamily(problem.structure, tuple(phi for _, _, phi in problem.maps))
-    frep = validate_family(family)
-    if require_endomorphic and not frep.is_endomorphic:
+    if require_endomorphic and not family.is_endomorphic:
         raise ValidationFailed("dilation command needs an endomorphic family")
-    return SemigroupFamily(problem.structure, family.generators, frep.is_endomorphic)
+    return family
 
 
 def _run_phi_limit_task(task: dict, family: SemigroupFamily, cfg: Config) -> dict:
@@ -390,7 +401,7 @@ def _run_phi_limit_task(task: dict, family: SemigroupFamily, cfg: Config) -> dic
 
 
 def cmd_analyze(path: str, overrides: dict | None = None) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     problem = load_problem(path, overrides)
     cfg = problem.config
     family = _checked_family(problem)
@@ -420,7 +431,7 @@ def cmd_analyze(path: str, overrides: dict | None = None) -> dict:
         erg = None
         entries.append(entry("ergodic_projection", "ERROR", {}, str(exc)))
     if erg is not None:
-        krep = kernel_ideal_check(family, fs=fs, cs=cs, erg=erg, seed=cfg.seed)
+        krep = kernel_ideal_check(family, erg=erg, seed=cfg.seed)
         entries.append(
             entry(
                 "kernel_ideal",
@@ -454,7 +465,7 @@ def cmd_analyze(path: str, overrides: dict | None = None) -> dict:
 
 
 def cmd_dilation(path: str, overrides: dict | None = None) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     problem = load_problem(path, overrides)
     cfg = problem.config
     if problem.projection is None:
@@ -485,17 +496,7 @@ def cmd_dilation(path: str, overrides: dict | None = None) -> dict:
     )
     if verdict.limit is not None:
         extras["minimality_limit"] = encode_element(verdict.limit)
-    fs_ambient = fixed_space(instance.alpha)
-    fs_corner = fixed_space(instance.phi)
-    iso = check_complete_isometry(
-        instance,
-        levels=cfg.levels,
-        samples=cfg.samples,
-        seed=cfg.seed,
-        tol=cfg.tol_eq,
-        fs_ambient=fs_ambient,
-        fs_corner=fs_corner,
-    )
+    iso = check_complete_isometry(instance, levels=cfg.levels, samples=cfg.samples, seed=cfg.seed, tol=cfg.tol_eq)
     entries.append(
         entry(
             "complete_isometry",
@@ -509,10 +510,9 @@ def cmd_dilation(path: str, overrides: dict | None = None) -> dict:
             iso.note,
         )
     )
-    cs = cstar_closure(fs_corner)
     try:
         erg = ergodic_projection(instance.phi, tol=cfg.convergence_tol, cesaro_cap=cfg.cesaro_cap)
-        krep = kernel_ideal_check(instance.phi, fs=fs_corner, cs=cs, erg=erg, seed=cfg.seed)
+        krep = kernel_ideal_check(instance.phi, erg=erg, seed=cfg.seed)
         entries.append(
             entry(
                 "kernel_ideal",
@@ -542,11 +542,9 @@ def cmd_dilation(path: str, overrides: dict | None = None) -> dict:
         y = decode_element(instance.emb.corner, task["element"], task["name"])
         try:
             if task["op"] == "pi_limit":
-                w = pi_limit(instance, y, tol=cfg.convergence_tol, max_iter=cfg.max_iter, window=cfg.window, cstar=cs)
+                w = pi_limit(instance, y, tol=cfg.convergence_tol, max_iter=cfg.max_iter, window=cfg.window)
                 entries.append(entry(name, "PASS", {"limit_norm": w.norm()}, "outcome: converges"))
             else:
-                from .fixpoint import lift_fixed_point
-
                 z = lift_fixed_point(instance, y, tol=cfg.convergence_tol)
                 entries.append(entry(name, "PASS", {"lift_norm": z.norm()}, "outcome: lifted"))
         except CpfixError as exc:

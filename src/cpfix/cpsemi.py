@@ -14,17 +14,13 @@ through d pairwise-commuting generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidFamily, ShapeMismatch
 from .matcore import as_matrix, op_norm, random_unitary
-from .vnalg import (
-    AlgebraElement,
-    BlockStructure,
-    element_from_coords,
-    identity_element,
-)
+from .vnalg import AlgebraElement, BlockStructure, identity_element
 
 COMMUTE_TOL = 1e-9
 CHOI_PRUNE_TOL = 1e-13
@@ -47,6 +43,13 @@ class CPMap:
     @property
     def is_endomap(self) -> bool:
         return self.source == self.target
+
+    @cached_property
+    def superop(self) -> np.ndarray:
+        """The superoperator, built once per map and read-only, since callers share it."""
+        s = to_superoperator(self)
+        s.flags.writeable = False
+        return s
 
 
 def cp_map(source: BlockStructure, target: BlockStructure, kraus: dict) -> CPMap:
@@ -123,18 +126,8 @@ def compose(phi: CPMap, psi: CPMap) -> CPMap:
     return cp_map(psi.source, phi.target, pruned)
 
 
-@dataclass(frozen=True, eq=False)
-class Superoperator:
-    """Matrix of a linear self-map in the matrix-unit coordinates of M."""
-
-    structure: BlockStructure
-    matrix: np.ndarray
-
-    def apply(self, x: AlgebraElement) -> AlgebraElement:
-        return element_from_coords(self.structure, self.matrix @ x.coords())
-
-
-def to_superoperator(phi: CPMap) -> Superoperator:
+def to_superoperator(phi: CPMap) -> np.ndarray:
+    """Matrix of an endomap in the matrix-unit coordinates of its structure."""
     if not phi.is_endomap:
         raise ShapeMismatch("superoperator requires source = target")
     st = phi.source
@@ -144,42 +137,19 @@ def to_superoperator(phi: CPMap) -> Superoperator:
     for (j, i), ops in phi.kraus:
         for a in ops:
             s[slices[j], slices[i]] += np.kron(a, a.conj())
-    return Superoperator(st, s)
+    return s
 
 
-def choi_blocks_from_superop(matrix: np.ndarray, structure: BlockStructure) -> dict:
-    """Blockwise Choi matrices of a superoperator-presented map."""
+def choi_min_eig(matrix: np.ndarray, structure: BlockStructure) -> float:
+    """Smallest eigenvalue of the blockwise Choi matrices of a superoperator."""
     slices = structure.coord_slices()
-    out = {}
+    worst = np.inf
     for j, nj in enumerate(structure.block_dims):
         for i, ni in enumerate(structure.block_dims):
             sji = matrix[slices[j], slices[i]]
             c = sji.reshape(nj, nj, ni, ni).transpose(2, 0, 3, 1).reshape(ni * nj, ni * nj)
-            out[(j, i)] = c
-    return out
-
-
-def choi_min_eig(matrix: np.ndarray, structure: BlockStructure) -> float:
-    worst = np.inf
-    for c in choi_blocks_from_superop(matrix, structure).values():
-        w = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
-        if w.size:
-            worst = min(worst, float(w[0]))
-    return worst if np.isfinite(worst) else 0.0
-
-
-def map_from_superop(matrix: np.ndarray, structure: BlockStructure, tol: float = 1e-12) -> CPMap:
-    """Reconstruct a Kraus form from a superoperator; requires CP input."""
-    kraus = {}
-    for (j, i), c in choi_blocks_from_superop(matrix, structure).items():
-        nj, ni = structure.block_dims[j], structure.block_dims[i]
-        w = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
-        if w.size and w[0] < -max(tol, 1e-9) * max(1.0, float(w[-1])):
-            raise ShapeMismatch(f"superoperator block ({j},{i}) is not completely positive")
-        ops = _ops_from_choi(c, nj, ni, tol=tol)
-        if ops:
-            kraus[(j, i)] = ops
-    return cp_map(structure, structure, kraus)
+            worst = min(worst, float(np.linalg.eigvalsh(0.5 * (c + c.conj().T))[0]))
+    return worst
 
 
 @dataclass(frozen=True)
@@ -189,25 +159,10 @@ class CPReport:
     is_unital: bool
     unital_defect: float
     contractive_floor: float
-    choi_floor: float | None = None
-    is_weak_star_continuous: bool = True
-
-
-def is_weak_star_continuous(phi: CPMap) -> bool:
-    """Always true: every linear map on a finite-dimensional algebra is normal.
-
-    Kept as an explicit check so the standing hypotheses are all visible
-    in validation reports rather than silently assumed.
-    """
-    return True
 
 
 def validate_cp(phi: CPMap, tol: float = 1e-9) -> CPReport:
-    """CP / contractive / unital flags for a Kraus-form map.
-
-    Kraus form is completely positive by construction; the blockwise Choi
-    test is reserved for maps ingested as raw superoperators.
-    """
+    """CP / contractive / unital flags; Kraus form is CP by construction."""
     one = identity_element(phi.source)
     img = apply(phi, one)
     unital_defect = (img - identity_element(phi.target)).norm()
@@ -225,7 +180,6 @@ def validate_cp(phi: CPMap, tol: float = 1e-9) -> CPReport:
         is_unital=bool(unital_defect <= tol),
         unital_defect=float(unital_defect),
         contractive_floor=float(floor),
-        is_weak_star_continuous=is_weak_star_continuous(phi),
     )
 
 
@@ -262,7 +216,7 @@ def validate_endomorphism(alpha: CPMap, tol: float = 1e-9) -> bool:
     if not alpha.is_endomap:
         raise ShapeMismatch("endomorphism check requires source = target")
     st = alpha.source
-    s = to_superoperator(alpha).matrix
+    s = alpha.superop
     k = _adjoint_permutation(st)
     if op_norm(s @ k - k @ s.conj()) > tol:
         return False
@@ -292,6 +246,15 @@ class SemigroupFamily:
     def rank(self) -> int:
         return len(self.generators)
 
+    @cached_property
+    def theta(self) -> np.ndarray:
+        """Superoperator of the diagonal step: every generator applied once."""
+        theta = np.eye(self.structure.coord_dim, dtype=complex)
+        for gen in self.generators:
+            theta = gen.superop @ theta
+        theta.flags.writeable = False
+        return theta
+
 
 @dataclass(frozen=True)
 class FamilyReport:
@@ -305,7 +268,7 @@ class FamilyReport:
 
 def validate_family(family: SemigroupFamily, tol: float = COMMUTE_TOL) -> FamilyReport:
     gens = family.generators
-    sups = [to_superoperator(g).matrix for g in gens]
+    sups = [g.superop for g in gens]
     comms = []
     worst = 0.0
     for a in range(len(gens)):
@@ -342,18 +305,6 @@ def make_family(generators, tol: float = COMMUTE_TOL, expect_endomorphic: bool =
     return SemigroupFamily(st, gens, rep.is_endomorphic)
 
 
-def power(family: SemigroupFamily, s) -> CPMap:
-    """beta_s = beta_1^{s_1} ... beta_d^{s_d} in Kraus form."""
-    s = tuple(int(v) for v in s)
-    if len(s) != family.rank or any(v < 0 for v in s):
-        raise ShapeMismatch(f"multi-index {s} invalid for a rank-{family.rank} family")
-    result = identity_map(family.structure)
-    for gen, count in zip(family.generators, s):
-        for _ in range(count):
-            result = compose(gen, result)
-    return result
-
-
 def apply_power(family: SemigroupFamily, s, x: AlgebraElement) -> AlgebraElement:
     """beta_s(x) by repeated application, avoiding Kraus blow-up."""
     for gen, count in zip(family.generators, s):
@@ -367,10 +318,6 @@ def diag_step(family: SemigroupFamily, x: AlgebraElement) -> AlgebraElement:
     for gen in family.generators:
         x = apply(gen, x)
     return x
-
-
-def family_superops(family: SemigroupFamily):
-    return [to_superoperator(g).matrix for g in family.generators]
 
 
 # ---------------------------------------------------------------------------

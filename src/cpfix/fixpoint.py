@@ -10,6 +10,8 @@ idempotent, and a property suite covering the remaining identities.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,18 +38,32 @@ from .vnalg import (
     inject,
     random_element,
 )
-from .cpsemi import (
-    SemigroupFamily,
-    apply,
-    apply_power,
-    choi_min_eig,
-    family_superops,
-    validate_cp,
-)
+from .cpsemi import SemigroupFamily, apply, apply_power, choi_min_eig, validate_cp
 from .dilation import DilationInstance, Minimality, check_minimality
 
 FIXED_TOL = 1e-10
 SPAN_TOL = 1e-8
+
+
+def _cached_on_argument(fn):
+    """Memoise fn(obj, ...) on obj, keyed by the remaining bound arguments.
+
+    The families and fixed spaces are immutable, so a result computed once
+    serves every later call with the same tolerances.
+    """
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def cached(obj, *args, **kwargs):
+        bound = signature.bind(obj, *args, **kwargs)
+        bound.apply_defaults()
+        key = (fn.__name__, *list(bound.arguments.values())[1:])
+        memo = vars(obj).setdefault("_derived", {})
+        if key not in memo:
+            memo[key] = fn(obj, *args, **kwargs)
+        return memo[key]
+
+    return cached
 
 
 def _orthonormal_columns(m: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
@@ -105,12 +121,13 @@ class FixedSpace:
         return len(self.basis)
 
 
+@_cached_on_argument
 def fixed_space(family: SemigroupFamily, tol: float = FIXED_TOL) -> FixedSpace:
     """Joint fixed space of the generators: intersection of ker(S_i - 1)."""
     st = family.structure
     d = st.coord_dim
     eye = np.eye(d)
-    stacked = np.vstack([s - eye for s in family_superops(family)])
+    stacked = np.vstack([g.superop - eye for g in family.generators])
     cols = nullspace(stacked, tol)
     cols = _hermitian_basis(st, cols)
     basis = tuple(element_from_coords(st, cols[:, k]) for k in range(cols.shape[1]))
@@ -135,6 +152,7 @@ class CStarSpan:
         return len(self.basis)
 
 
+@_cached_on_argument
 def cstar_closure(fs: FixedSpace) -> CStarSpan:
     """Close the span under products (and adjoints) until it stabilizes."""
     st = fs.structure
@@ -220,6 +238,7 @@ def _cesaro_check(s: np.ndarray, p: np.ndarray, cap: int) -> dict:
     }
 
 
+@_cached_on_argument
 def ergodic_projection(
     family: SemigroupFamily,
     tol: float = FIXED_TOL,
@@ -234,12 +253,11 @@ def ergodic_projection(
     st = family.structure
     per_gen = []
     projs = []
-    superops = family_superops(family)
     for idx, gen in enumerate(family.generators):
         rep = validate_cp(gen)
         if not rep.is_contractive:
             raise NotContractive(f"generator {idx} has phi(1) > 1 (floor {rep.contractive_floor:g})")
-        s = superops[idx]
+        s = gen.superop
         p, diag = _mean_projection(s, tol)
         diag.update(_cesaro_check(s, p, cesaro_cap))
         diag["generator"] = idx
@@ -296,13 +314,6 @@ def _limit_iteration(theta: np.ndarray, v0: np.ndarray, tol: float, max_iter: in
     raise Divergent(f"no Cauchy window of {window} after {max_iter} steps (last increment {inc:g})")
 
 
-def _diag_superop(family: SemigroupFamily) -> np.ndarray:
-    theta = np.eye(family.structure.coord_dim, dtype=complex)
-    for s in family_superops(family):
-        theta = s @ theta
-    return theta
-
-
 def phi_limit(
     family: SemigroupFamily,
     y: AlgebraElement,
@@ -315,8 +326,7 @@ def phi_limit(
     Raises Divergent when the orbit fails to stabilize, which signals
     either y outside C*(N^phi) or a very slow spectral gap.
     """
-    theta = _diag_superop(family)
-    v, _ = _limit_iteration(theta, y.coords(), tol, max_iter, window)
+    v, _ = _limit_iteration(family.theta, y.coords(), tol, max_iter, window)
     result = element_from_coords(family.structure, v)
     for gen in family.generators:
         if (apply(gen, result) - result).norm() > 10.0 * tol * max(1.0, result.norm()):
@@ -338,8 +348,7 @@ def pi_limit(
     gap = span_distance(cstar.matrix, y.coords())
     if gap > SPAN_TOL * max(1.0, y.norm()):
         raise NotInCStar(f"element is {gap:g} away from C*(N^phi); limit not guaranteed")
-    theta = _diag_superop(instance.alpha)
-    v, _ = _limit_iteration(theta, inject(instance.emb, y).coords(), tol, max_iter, window)
+    v, _ = _limit_iteration(instance.alpha.theta, inject(instance.emb, y).coords(), tol, max_iter, window)
     result = element_from_coords(instance.structure, v)
     for gen in instance.alpha.generators:
         if (apply(gen, result) - result).norm() > 10.0 * tol * max(1.0, result.norm()):
@@ -362,7 +371,7 @@ def lift_fixed_point(
     fs_corner = fixed_space(instance.phi)
     if span_distance(fs_corner.matrix, y.coords()) > SPAN_TOL * max(1.0, y.norm()):
         raise NotFixed("input is not in the fixed space of the compressed family")
-    z_pi = pi_limit(instance, y, tol=tol, cstar=cstar_closure(fs_corner))
+    z_pi = pi_limit(instance, y, tol=tol)
     fs_ambient = fixed_space(instance.alpha)
     if fs_ambient.dimension == 0:
         raise NotFixed("ambient fixed space is trivial; nothing can compress to y")
@@ -731,7 +740,7 @@ def property_suite(
             for _ in range(samples):
                 x = _combo(fs_ambient.matrix, instance.structure, rng)
                 try:
-                    z = pi_limit(instance, compress(instance.emb, x), cstar=cs)
+                    z = pi_limit(instance, compress(instance.emb, x))
                     worst = max(worst, (z - x).norm())
                 except CpfixError as exc:
                     worst = np.inf
@@ -750,7 +759,7 @@ def property_suite(
             for _ in range(samples):
                 y = _combo(cs.matrix, st, rng)
                 try:
-                    z = pi_limit(instance, y, cstar=cs)
+                    z = pi_limit(instance, y)
                     worst = max(worst, (compress(instance.emb, z) - erg.apply(y)).norm())
                 except CpfixError as exc:
                     worst = np.inf

@@ -141,10 +141,6 @@ def element_from_coords(structure: BlockStructure, v: np.ndarray) -> AlgebraElem
     return AlgebraElement(structure, tuple(blocks))
 
 
-def element_from_blocks(structure: BlockStructure, blocks) -> AlgebraElement:
-    return AlgebraElement(structure, tuple(blocks))
-
-
 def random_element(structure: BlockStructure, rng: np.random.Generator, hermitian: bool = False) -> AlgebraElement:
     from .matcore import random_complex, random_hermitian
 
@@ -205,12 +201,6 @@ class CornerEmbedding:
     projection: AlgebraElement
     isometries: tuple
     kept: tuple
-
-    @property
-    def is_full(self) -> bool:
-        return self.corner == self.ambient and all(
-            np.allclose(u, np.eye(u.shape[0])) for u in self.isometries
-        )
 
 
 def _range_basis(b: np.ndarray, rank: int) -> np.ndarray:
@@ -277,25 +267,6 @@ def amplify(structure: BlockStructure, k: int) -> BlockStructure:
     return BlockStructure(tuple(k * n for n in structure.block_dims))
 
 
-def amplify_element(grid) -> AlgebraElement:
-    """Assemble a k x k array of elements of M into one element of M_k(M).
-
-    grid[a][b] occupies the (a, b) cell of each amplified block.
-    """
-    k = len(grid)
-    if any(len(row) != k for row in grid):
-        raise ShapeMismatch("amplification grid must be square")
-    st = grid[0][0].structure
-    for row in grid:
-        for x in row:
-            if x.structure != st:
-                raise ShapeMismatch("grid entries live on different structures")
-    blocks = []
-    for i in range(st.num_blocks):
-        blocks.append(np.block([[grid[a][b].blocks[i] for b in range(k)] for a in range(k)]))
-    return AlgebraElement(amplify(st, k), tuple(blocks))
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron without its shape-juggling overhead (square inputs)."""
     k, n = a.shape[0], b.shape[0]
@@ -315,16 +286,3 @@ def amplify_combination(coeffs, elements) -> AlgebraElement:
         for i in range(st.num_blocks):
             blocks[i] += _kron(c, x.blocks[i])
     return AlgebraElement(amp, tuple(blocks))
-
-
-def amplify_embedding(emb: CornerEmbedding, k: int) -> CornerEmbedding:
-    """Corner embedding for the amplified projection on M_k(M)."""
-    amb = amplify(emb.ambient, k)
-    cor = amplify(emb.corner, k)
-    eye = np.eye(k)
-    isoms = tuple(np.kron(eye, u) for u in emb.isometries)
-    pblocks = [np.zeros((k * n, k * n), dtype=complex) for n in emb.ambient.block_dims]
-    for i, b in enumerate(emb.projection.blocks):
-        pblocks[i] = np.kron(eye, b)
-    p = AlgebraElement(amb, tuple(pblocks))
-    return CornerEmbedding(amb, cor, p, isoms, emb.kept)

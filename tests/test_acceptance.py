@@ -193,7 +193,7 @@ def test_acceptance_7_cli_round_trips(tmp_path):
     problem = load_problem(path)
     inst = cf.build_random_instance(11, n_max=3, m_max=4, d=2)
     for (name, kind, phi), gen in zip(problem.maps, inst.alpha.generators):
-        drift = op_norm(cf.to_superoperator(phi).matrix - cf.to_superoperator(gen).matrix)
+        drift = op_norm(cf.to_superoperator(phi) - cf.to_superoperator(gen))
         assert drift <= 1e-12
     elapsed = time.time() - t0
     print(f"\nACCEPTANCE 7 PASS: demo/validate/analyze/dilation round-trips exit 0 on all six "

@@ -1,5 +1,6 @@
 import copy
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -77,7 +78,7 @@ def test_superoperator_roundtrip_drift(tmp_path):
     problem = load_problem(path)
     assert problem.structure == inst.structure
     for (name, kind, phi), gen in zip(problem.maps, inst.alpha.generators):
-        drift = op_norm(to_superoperator(phi).matrix - to_superoperator(gen).matrix)
+        drift = op_norm(to_superoperator(phi) - to_superoperator(gen))
         assert drift <= 1e-12
         assert kind == "endomorphism"
 
@@ -146,6 +147,63 @@ def test_parse_error_on_malformed_json(tmp_path):
 def test_config_rejects_unknown_keys():
     with pytest.raises(ParseError):
         Config.from_dict({"no_such_knob": 1})
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"samples": "x"}, {"samples": -1}, {"levels": 0}, {"max_iter": 0}, {"convergence_tol": -1.0}],
+)
+def test_invalid_config_exits_two(tmp_path, capsys, config):
+    path = tmp_path / "damping.json"
+    data = cmd_demo("damping", {}, str(path))
+    data["config"] = config
+    path.write_text(json.dumps(data))
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {next(iter(config))}:")
+    assert "Traceback" not in err
+
+
+def count_calls(monkeypatch, names):
+    """Count calls of cpfix names, rebinding each in every cpfix namespace that holds it."""
+    counts = dict.fromkeys(names, 0)
+    spaces = [m for key, m in sys.modules.items() if key == "cpfix" or key.startswith("cpfix.")]
+    for name in names:
+        module, attr = name.split(".")
+        original = getattr(sys.modules[f"cpfix.{module}"], attr)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for space in spaces:
+            for key, value in list(vars(space).items()):
+                if value is original:
+                    monkeypatch.setattr(space, key, counted)
+    return counts
+
+
+def test_derived_objects_built_once_per_family(tmp_path, monkeypatch):
+    dilation = demo_path(tmp_path, "random-dilation", {"seed": "4", "d": "2"})
+    mixture = demo_path(tmp_path, "random-mixture", {"seed": "3", "d": "2"})
+    # each result class is built once per computation of its function
+    results = ("fixpoint.FixedSpace", "fixpoint.CStarSpan", "fixpoint.ErgodicProjection")
+    counts = count_calls(
+        monkeypatch, ("cpsemi.to_superoperator", "cpsemi.validate_family", "cpsemi.compose") + results
+    )
+    cmd_dilation(dilation)
+    # two generators on M and on N = pMp, plus the four generator pairs on each
+    assert counts["cpsemi.to_superoperator"] <= 12
+    assert counts["cpsemi.validate_family"] == 2
+    assert counts["cpsemi.compose"] <= 8
+    # N^phi and M^alpha; C*(N^phi) and rho of the compressed family only
+    assert [counts[name] for name in results] == [2, 1, 1]
+
+    counts.update(dict.fromkeys(counts, 0))
+    cmd_analyze(mixture)
+    assert counts["cpsemi.to_superoperator"] == 2
+    assert counts["cpsemi.validate_family"] == 1
+    assert [counts[name] for name in results] == [1, 1, 1]
 
 
 def test_unknown_demo_family(tmp_path):

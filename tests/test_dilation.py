@@ -112,7 +112,7 @@ def test_compress_full_projection_is_identity_compression():
     alpha = make_family([conjugation_map(inst_st, [u, u])], expect_endomorphic=True)
     emb, phi = compress_semigroup(alpha, identity_element(inst_st))
     assert op_norm(
-        to_superoperator(phi.generators[0]).matrix - to_superoperator(alpha.generators[0]).matrix
+        to_superoperator(phi.generators[0]) - to_superoperator(alpha.generators[0])
     ) < 1e-12
 
 
@@ -122,7 +122,7 @@ def test_compress_tail_shift_gives_conjugation():
     corner_st = inst.emb.corner
     direct = conjugation_map(corner_st, [u])
     gap = op_norm(
-        to_superoperator(inst.phi.generators[0]).matrix - to_superoperator(direct).matrix
+        to_superoperator(inst.phi.generators[0]) - to_superoperator(direct)
     )
     assert gap <= 1e-10
 
@@ -193,7 +193,7 @@ def test_build_random_instance_deterministic():
     b = build_random_instance(17, n_max=3, m_max=4, d=2)
     assert a.structure == b.structure
     for ga, gb in zip(a.alpha.generators, b.alpha.generators):
-        assert op_norm(to_superoperator(ga).matrix - to_superoperator(gb).matrix) == 0.0
+        assert op_norm(to_superoperator(ga) - to_superoperator(gb)) == 0.0
 
 
 def test_build_random_instance_bounds():

@@ -8,8 +8,6 @@ from cpfix.vnalg import (
     BlockStructure,
     amplify,
     amplify_combination,
-    amplify_element,
-    amplify_embedding,
     compress,
     corner,
     element_from_coords,
@@ -57,8 +55,8 @@ def test_coords_roundtrip_and_trace_inner_product():
 def test_corner_full_projection():
     st = BlockStructure((2, 2))
     emb = corner(st, identity_element(st))
-    assert emb.corner == st
-    assert emb.is_full
+    assert emb.corner == st and emb.kept == (0, 1)
+    assert all(op_norm(u - np.eye(2)) < 1e-14 for u in emb.isometries)
     x = random_element(st, np.random.default_rng(1))
     assert (compress(emb, x) - x).norm() < 1e-14
     assert (inject(emb, x) - x).norm() < 1e-14
@@ -125,10 +123,9 @@ def test_amplify_single_entry_norm():
     st = BlockStructure((2, 3))
     x = random_element(st, np.random.default_rng(2))
     k = 3
-    zero = zero_element(st)
-    grid = [[zero for _ in range(k)] for _ in range(k)]
-    grid[0][2] = x
-    amp = amplify_element(grid)
+    unit = np.zeros((k, k))
+    unit[0, 2] = 1.0
+    amp = amplify_combination([unit], [x])
     assert amp.structure == amplify(st, k)
     assert abs(amp.norm() - x.norm()) < 1e-12  # block permutation invariance
 
@@ -139,9 +136,14 @@ def test_amplified_compression_matches_entrywise():
     p = elem(st, np.diag([1.0, 0.0]), np.diag([1.0, 1.0, 0.0]))
     emb = corner(st, p)
     k = 2
-    grid = [[random_element(st, rng) for _ in range(k)] for _ in range(k)]
-    entrywise = amplify_element([[compress(emb, grid[a][b]) for b in range(k)] for a in range(k)])
-    amped = compress(amplify_embedding(emb, k), amplify_element(grid))
+    coeffs = [random_complex(rng, k, k) for _ in range(3)]
+    xs = [random_element(st, rng) for _ in range(3)]
+    entrywise = amplify_combination(coeffs, [compress(emb, x) for x in xs])
+    # compress the amplified element by the amplified isometries kron(I_k, u_i)
+    amp = amplify_combination(coeffs, xs)
+    isoms = [np.kron(np.eye(k), u) for u in emb.isometries]
+    blocks = tuple(v.conj().T @ amp.blocks[i] @ v for v, i in zip(isoms, emb.kept))
+    amped = AlgebraElement(amplify(emb.corner, k), blocks)
     assert (entrywise - amped).norm() <= 1e-12
 
 
