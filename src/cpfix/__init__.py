@@ -33,7 +33,6 @@ from .vnalg import (
     AlgebraElement,
     BlockStructure,
     CornerEmbedding,
-    amplify,
     amplify_combination,
     compress,
     corner,

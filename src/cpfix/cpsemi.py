@@ -13,8 +13,9 @@ through d pairwise-commuting generators.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -24,6 +25,27 @@ from .vnalg import AlgebraElement, BlockStructure, identity_element
 
 COMMUTE_TOL = 1e-9
 CHOI_PRUNE_TOL = 1e-13
+
+
+def _cached_on_argument(fn):
+    """Memoise fn(obj, ...) on obj, keyed by the remaining bound arguments.
+
+    Families, fixed spaces and elements are immutable, so a result computed
+    once serves every later call with the same arguments.
+    """
+    signature = inspect.signature(fn)
+
+    @wraps(fn)
+    def cached(obj, *args, **kwargs):
+        bound = signature.bind(obj, *args, **kwargs)
+        bound.apply_defaults()
+        key = (fn.__name__, *list(bound.arguments.values())[1:])
+        memo = vars(obj).setdefault("_derived", {})
+        if key not in memo:
+            memo[key] = fn(obj, *args, **kwargs)
+        return memo[key]
+
+    return cached
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,6 +19,7 @@ from .matcore import is_psd, op_norm, random_unitary
 from .cpsemi import (
     CPMap,
     SemigroupFamily,
+    _cached_on_argument,
     apply,
     compose,
     conjugation_map,
@@ -72,6 +73,7 @@ class MinimalityResult:
     limit: AlgebraElement | None = None
 
 
+@_cached_on_argument
 def check_minimality(
     alpha: SemigroupFamily,
     p: AlgebraElement,
@@ -83,7 +85,8 @@ def check_minimality(
     The defect net is PSD and decreasing, hence convergent.  A candidate
     limit is only accepted as NonMinimal when it is itself fixed by the
     diagonal step; a small increment on a slowly decaying orbit yields
-    Undetermined rather than a wrong verdict.
+    Undetermined rather than a wrong verdict.  The result is cached on
+    alpha, keyed by p and the tolerances.
     """
     if not check_coinvariance(alpha, p):
         raise CoInvarianceViolated("alpha(1-p) <= 1-p fails for some generator")

@@ -52,9 +52,19 @@ def eig_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL):
     return w, u
 
 
-def op_norm(a) -> float:
-    """Largest singular value, as sqrt of the top eigenvalue of A*A."""
+def op_norm(a) -> float | np.ndarray:
+    """Largest singular value, as sqrt of the top eigenvalue of A*A.
+
+    A stack of shape (..., m, n) gives the array of its matrices' norms,
+    from the same formula, so each entry equals op_norm of that matrix.
+    """
     a = np.asarray(a, dtype=complex)
+    if a.ndim > 2:
+        if a.size == 0:
+            return np.zeros(a.shape[:-2])
+        gram = a.conj().swapaxes(-1, -2) @ a
+        w = np.linalg.eigvalsh(0.5 * (gram + gram.conj().swapaxes(-1, -2)))
+        return np.sqrt(np.maximum(w[..., -1], 0.0))
     if a.size == 0:
         return 0.0
     gram = a.conj().T @ a

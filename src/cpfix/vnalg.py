@@ -3,7 +3,7 @@
 Elements are lists of complex blocks.  The module provides the
 block-diagonal embedding into one big matrix, projections and their
 spectral rounding, corner algebras N = pMp with explicit isometries,
-the compression E(x) = pxp, and matrix amplifications M_k(M).
+the compression E(x) = pxp, and stacked matrix amplifications in M_k(M).
 
 Coordinates: an element is identified with the concatenation of its
 row-major flattened blocks, a vector in C^D with D = sum(n_i^2).  The
@@ -260,29 +260,18 @@ def inject(emb: CornerEmbedding, y: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(emb.ambient, tuple(blocks))
 
 
-def amplify(structure: BlockStructure, k: int) -> BlockStructure:
-    """Block structure of M_k(M) = ⊕_i M_{k n_i}."""
-    if k < 1:
-        raise ShapeMismatch(f"amplification level must be >= 1, got {k}")
-    return BlockStructure(tuple(k * n for n in structure.block_dims))
+def amplify_combination(coeffs, elements) -> tuple:
+    """Blocks of sum_j kron(C_j, x_j) in M_k(M) for a stack of coefficients.
 
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron without its shape-juggling overhead (square inputs)."""
-    k, n = a.shape[0], b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(k * n, k * n)
-
-
-def amplify_combination(coeffs, elements) -> AlgebraElement:
-    """Sum of kron(C_j, x_j) in M_k(M) for k x k coefficient matrices C_j."""
-    if len(coeffs) != len(elements) or not elements:
-        raise ShapeMismatch("need matching nonempty coefficient and element lists")
-    st = elements[0].structure
-    k = np.asarray(coeffs[0]).shape[0]
-    amp = amplify(st, k)
-    blocks = [np.zeros((k * n, k * n), dtype=complex) for n in st.block_dims]
-    for c, x in zip(coeffs, elements):
-        c = np.asarray(c, dtype=complex)
-        for i in range(st.num_blocks):
-            blocks[i] += _kron(c, x.blocks[i])
-    return AlgebraElement(amp, tuple(blocks))
+    `coeffs` has shape (S, J, k, k): S samples of one k x k coefficient per
+    element x_j.  Returns one (S, k n_i, k n_i) array per block of M.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if not elements or coeffs.ndim != 4 or coeffs.shape[1:3] != (len(elements), coeffs.shape[3]):
+        raise ShapeMismatch("need coefficients of shape (S, J, k, k) for J nonempty elements")
+    s, _, k, _ = coeffs.shape
+    out = []
+    for i, n in enumerate(elements[0].structure.block_dims):
+        b = np.stack([x.blocks[i] for x in elements])
+        out.append(np.einsum("sjab,jcd->sacbd", coeffs, b, optimize=True).reshape(s, k * n, k * n))
+    return tuple(out)

@@ -189,7 +189,9 @@ def test_derived_objects_built_once_per_family(tmp_path, monkeypatch):
     # each result class is built once per computation of its function
     results = ("fixpoint.FixedSpace", "fixpoint.CStarSpan", "fixpoint.ErgodicProjection")
     counts = count_calls(
-        monkeypatch, ("cpsemi.to_superoperator", "cpsemi.validate_family", "cpsemi.compose") + results
+        monkeypatch,
+        ("cpsemi.to_superoperator", "cpsemi.validate_family", "cpsemi.compose", "dilation.MinimalityResult")
+        + results,
     )
     cmd_dilation(dilation)
     # two generators on M and on N = pMp, plus the four generator pairs on each
@@ -198,6 +200,8 @@ def test_derived_objects_built_once_per_family(tmp_path, monkeypatch):
     assert counts["cpsemi.compose"] <= 8
     # N^phi and M^alpha; C*(N^phi) and rho of the compressed family only
     assert [counts[name] for name in results] == [2, 1, 1]
+    # the minimality row and the suite's lifting items share one verdict
+    assert counts["dilation.MinimalityResult"] == 1
 
     counts.update(dict.fromkeys(counts, 0))
     cmd_analyze(mixture)

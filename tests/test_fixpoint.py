@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cpfix.errors import Divergent, NotContractive, NotFixed, NotInCStar
-from cpfix.matcore import op_norm, random_unitary
+from cpfix.matcore import op_norm, random_complex, random_unitary
 from cpfix.vnalg import (
     AlgebraElement,
     BlockStructure,
@@ -14,6 +14,7 @@ from cpfix.cpsemi import (
     cp_map,
     damping_family,
     identity_family,
+    identity_map,
     leaky_damping_family,
     make_family,
     mixture_family,
@@ -255,6 +256,50 @@ def test_complete_isometry_tail_shift():
     assert abs(compress(inst.emb, x).norm() - 1.0) < 1e-12
 
 
+def looped_isometry_defects(inst, levels, samples, seed):
+    """Reference: one draw per sample and basis element, explicit kron sums, SVD norms."""
+    basis = fixed_space(inst.alpha).basis
+    compressed = [compress(inst.emb, b) for b in basis]
+    rng = np.random.default_rng(seed)
+
+    def amplified_norm(coeffs, elements):
+        return max(
+            np.linalg.norm(sum(np.kron(c, x.blocks[i]) for c, x in zip(coeffs, elements)), 2)
+            for i in range(len(elements[0].blocks))
+        )
+
+    defects = {}
+    for k in range(1, levels + 1):
+        worst = 0.0
+        for _ in range(samples):
+            coeffs = [random_complex(rng, k, k) for _ in basis]
+            nx = amplified_norm(coeffs, basis)
+            worst = max(worst, abs(nx - amplified_norm(coeffs, compressed)) / max(1.0, nx))
+        defects[k] = worst
+    return defects
+
+
+def nonminimal_identity_instance():
+    st = BlockStructure((2, 2))
+    alpha = make_family([identity_map(st)], expect_endomorphic=True)
+    p = AlgebraElement(st, (np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)))
+    return make_instance(alpha, p)
+
+
+def test_complete_isometry_matches_looped_reference():
+    minimal = build_tail_shift(2, 3, np.diag([1.0, np.exp(0.9j)]))
+    nonminimal = nonminimal_identity_instance()
+    for inst in (minimal, nonminimal):
+        rep = check_complete_isometry(inst, levels=3, samples=40, seed=5)
+        ref = looped_isometry_defects(inst, levels=3, samples=40, seed=5)
+        assert set(rep.level_defects) == set(ref) == {1, 2, 3}
+        for k in ref:
+            assert abs(rep.level_defects[k] - ref[k]) <= 1e-12
+    assert rep.dim_ambient_fixed == 8 and rep.dim_corner_fixed == rep.compression_rank == 4
+    assert rep.passed is False and rep.bijective is False
+    assert all(defect > 1e-3 for defect in rep.level_defects.values())
+
+
 def test_kernel_ideal_trivial_models():
     for fam in (identity_family(M2), rotation_family(), damping_family(0.5)):
         rep = kernel_ideal_check(fam)
@@ -291,13 +336,7 @@ def test_property_suite_tail_shift_all_pass():
 
 
 def test_property_suite_flags_nonminimal_lift():
-    st = BlockStructure((2, 2))
-    from cpfix.cpsemi import identity_map
-
-    alpha = make_family([identity_map(st)], expect_endomorphic=True)
-    p = AlgebraElement(st, (np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)))
-    inst = make_instance(alpha, p)
-    rep = property_suite(inst, seed=0, samples=10)
+    rep = property_suite(nonminimal_identity_instance(), seed=0, samples=10)
     assert not rep.passed
     assert rep.items["lift_identity"].status == "FAIL"
     assert "minimality" in rep.items["lift_identity"].note

@@ -65,6 +65,25 @@ def test_op_norm_nilpotent():
 
 
 @settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_op_norm_stack_matches_per_matrix(m, n, seed):
+    stack = random_complex(np.random.default_rng(seed), 3 * 2 * m, n).reshape(3, 2, m, n)
+    norms = op_norm(stack)
+    assert norms.shape == (3, 2)
+    expected = [[op_norm(stack[s, g]) for g in range(2)] for s in range(3)]
+    assert np.array_equal(norms, expected)  # bitwise, square or not
+
+
+def test_op_norm_empty_stack():
+    assert op_norm(np.zeros((2, 0, 3, 3))).shape == (2, 0)
+    assert np.array_equal(op_norm(np.zeros((2, 3, 0))), np.zeros(2))
+
+
+@settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10**6))
 def test_op_norm_submultiplicative(n, seed):
     rng = np.random.default_rng(seed)

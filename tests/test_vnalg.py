@@ -6,7 +6,6 @@ from cpfix.matcore import op_norm, random_complex, random_unitary
 from cpfix.vnalg import (
     AlgebraElement,
     BlockStructure,
-    amplify,
     amplify_combination,
     compress,
     corner,
@@ -113,21 +112,16 @@ def test_compress_inject_identity():
         assert abs(z.norm() - y.norm()) <= 1e-12  # isometric injection
 
 
-def test_amplify_structure():
-    st = BlockStructure((2, 3))
-    assert amplify(st, 1) == st
-    assert amplify(st, 2).block_dims == (4, 6)
-
-
 def test_amplify_single_entry_norm():
     st = BlockStructure((2, 3))
     x = random_element(st, np.random.default_rng(2))
     k = 3
-    unit = np.zeros((k, k))
-    unit[0, 2] = 1.0
-    amp = amplify_combination([unit], [x])
-    assert amp.structure == amplify(st, k)
-    assert abs(amp.norm() - x.norm()) < 1e-12  # block permutation invariance
+    # one sample per matrix unit E_ab: kron(E_ab, x) permutes the blocks of x into M_k(M)
+    units = np.eye(k * k).reshape(k * k, 1, k, k)
+    blocks = amplify_combination(units, [x])
+    assert [b.shape for b in blocks] == [(k * k, k * n, k * n) for n in st.block_dims]
+    norms = np.max([op_norm(b) for b in blocks], axis=0)
+    np.testing.assert_allclose(norms, x.norm(), rtol=0, atol=1e-12)  # block permutation invariance
 
 
 def test_amplified_compression_matches_entrywise():
@@ -136,24 +130,30 @@ def test_amplified_compression_matches_entrywise():
     p = elem(st, np.diag([1.0, 0.0]), np.diag([1.0, 1.0, 0.0]))
     emb = corner(st, p)
     k = 2
-    coeffs = [random_complex(rng, k, k) for _ in range(3)]
+    coeffs = random_complex(rng, 4 * 3 * k, k).reshape(4, 3, k, k)
     xs = [random_element(st, rng) for _ in range(3)]
     entrywise = amplify_combination(coeffs, [compress(emb, x) for x in xs])
-    # compress the amplified element by the amplified isometries kron(I_k, u_i)
+    # compress each amplified sample by the amplified isometries kron(I_k, u_i)
     amp = amplify_combination(coeffs, xs)
     isoms = [np.kron(np.eye(k), u) for u in emb.isometries]
-    blocks = tuple(v.conj().T @ amp.blocks[i] @ v for v, i in zip(isoms, emb.kept))
-    amped = AlgebraElement(amplify(emb.corner, k), blocks)
-    assert (entrywise - amped).norm() <= 1e-12
+    amped = [v.conj().T @ amp[i] @ v for v, i in zip(isoms, emb.kept)]
+    assert len(entrywise) == len(amped) == emb.corner.num_blocks
+    for e, a in zip(entrywise, amped):
+        assert op_norm(e - a).max() <= 1e-12
 
 
 def test_amplify_combination_matches_kron():
     rng = np.random.default_rng(4)
-    st = BlockStructure((2,))
-    x = random_element(st, rng)
-    c = random_complex(rng, 2, 2)
-    amp = amplify_combination([c], [x])
-    np.testing.assert_allclose(amp.blocks[0], np.kron(c, x.blocks[0]), atol=1e-14)
+    st = BlockStructure((2, 1))
+    xs = [random_element(st, rng) for _ in range(2)]
+    coeffs = random_complex(rng, 5 * 2 * 3, 3).reshape(5, 2, 3, 3)
+    blocks = amplify_combination(coeffs, xs)
+    for i in range(st.num_blocks):
+        for s in range(5):
+            expected = sum(np.kron(c, x.blocks[i]) for c, x in zip(coeffs[s], xs))
+            np.testing.assert_allclose(blocks[i][s], expected, atol=1e-14)
+    with pytest.raises(ShapeMismatch):
+        amplify_combination(coeffs[:, :1], xs)
 
 
 def test_validate_projection_accepts_and_snaps():
