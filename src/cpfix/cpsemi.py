@@ -31,7 +31,8 @@ def _cached_on_argument(fn):
     """Memoise fn(obj, ...) on obj, keyed by the remaining bound arguments.
 
     Families, fixed spaces and elements are immutable, so a result computed
-    once serves every later call with the same arguments.
+    once serves every later call with the same arguments.  `fn.built(obj)`
+    lists the results already computed on obj, oldest first.
     """
     signature = inspect.signature(fn)
 
@@ -45,6 +46,10 @@ def _cached_on_argument(fn):
             memo[key] = fn(obj, *args, **kwargs)
         return memo[key]
 
+    def built(obj) -> list:
+        return [value for key, value in vars(obj).get("_derived", {}).items() if key[0] == fn.__name__]
+
+    cached.built = built
     return cached
 
 

@@ -46,11 +46,13 @@ def element_is_psd(x: AlgebraElement, tol: float = PSD_CHECK_TOL) -> bool:
     return all(is_psd(b, tol) for b in x.blocks)
 
 
+@_cached_on_argument
 def check_coinvariance(alpha: SemigroupFamily, p: AlgebraElement, tol: float = PSD_CHECK_TOL) -> bool:
     """True iff (1-p) - alpha_i(1-p) is PSD for every generator.
 
     Generator-level checking suffices: endomorphisms preserve order, so
-    composites inherit the inequality.
+    composites inherit the inequality.  The verdict is cached on alpha,
+    keyed by p and tol, so compression and minimality share one check.
     """
     q = identity_element(alpha.structure) - p
     for gen in alpha.generators:

@@ -31,12 +31,10 @@ from .vnalg import (
     amplify_combination,
     compress,
     element_from_coords,
-    embed,
     identity_element,
     inject,
-    random_element,
 )
-from .cpsemi import SemigroupFamily, _cached_on_argument, apply, apply_power, choi_min_eig, validate_cp
+from .cpsemi import SemigroupFamily, _cached_on_argument, apply, choi_min_eig, validate_cp
 from .dilation import DilationInstance, Minimality, check_minimality
 
 FIXED_TOL = 1e-10
@@ -519,13 +517,124 @@ def _combo(matrix: np.ndarray, structure: BlockStructure, rng: np.random.Generat
     return element_from_coords(structure, v / n if n > 0 else v)
 
 
-def _min_eig(x: AlgebraElement) -> float:
+# Stacked samples.  A (D, S) coordinate block holds one element per column;
+# the property suite draws, multiplies and checks all of its samples at once.
+
+
+def _blocks(structure: BlockStructure, v: np.ndarray) -> list:
+    """The columns of a (D, S) coordinate block as one (S, n_i, n_i) array per block."""
+    s = v.shape[1]
+    return [v[sl].T.reshape(s, n, n) for n, sl in zip(structure.block_dims, structure.coord_slices())]
+
+
+def _coords(blocks) -> np.ndarray:
+    """The (D, S) coordinate block of one (S, n_i, n_i) array per block."""
+    return np.concatenate([b.reshape(b.shape[0], -1) for b in blocks], axis=1).T
+
+
+def _star(structure: BlockStructure, v: np.ndarray) -> np.ndarray:
+    return _coords([b.conj().swapaxes(-1, -2) for b in _blocks(structure, v)])
+
+
+def _product(structure: BlockStructure, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _coords([x @ y for x, y in zip(_blocks(structure, a), _blocks(structure, b))])
+
+
+def _norms(structure: BlockStructure, v: np.ndarray) -> np.ndarray:
+    """AlgebraElement.norm of every column: its largest block operator norm."""
+    return np.max([op_norm(b) for b in _blocks(structure, v)], axis=0)
+
+
+def _psd_floor(structure: BlockStructure, vs) -> float:
+    """Smallest eigenvalue of the Hermitian parts of every element in the coordinate blocks vs."""
     worst = np.inf
-    for blk in x.blocks:
-        w = np.linalg.eigvalsh(0.5 * (blk + blk.conj().T))
-        if w.size:
-            worst = min(worst, float(w[0]))
-    return worst if np.isfinite(worst) else 0.0
+    for v in vs:
+        for b in _blocks(structure, v):
+            w = np.linalg.eigvalsh(0.5 * (b + b.conj().swapaxes(-1, -2)))
+            worst = min(worst, float(np.min(w, initial=np.inf)))
+    return worst
+
+
+def _combos(matrix: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """One _combo per sample, as columns, from the (S, 2, r) normals the S calls draw."""
+    v = matrix @ ((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)).T
+    n = np.linalg.norm(v, axis=0)
+    return v / np.where(n > 0, n, 1.0)
+
+
+def _compressed(emb, x: np.ndarray) -> np.ndarray:
+    """compress of every column of an ambient coordinate block."""
+    blocks = _blocks(emb.ambient, x)
+    return _coords([u.conj().T @ blocks[i] @ u for u, i in zip(emb.isometries, emb.kept)])
+
+
+def _injected(emb, y: np.ndarray) -> np.ndarray:
+    """inject of every column of a corner coordinate block."""
+    blocks = [np.zeros((y.shape[1], n, n), dtype=complex) for n in emb.ambient.block_dims]
+    for u, i, b in zip(emb.isometries, emb.kept, _blocks(emb.corner, y)):
+        blocks[i] = u @ b @ u.conj().T
+    return _coords(blocks)
+
+
+def _column_limits(family: SemigroupFamily, v: np.ndarray, stalled: str, tol: float = 1e-10,
+                   max_iter: int = 10**5, window: int = 5):
+    """phi_limit of every column of a (D, S) coordinate block at once.
+
+    Each column follows the rule of _limit_iteration on its own increments,
+    so it stops at the step where it would stop alone, and then gets the
+    generator check of phi_limit.  Returns the limits and, per column, the
+    Divergent that phi_limit raises (with message `stalled` for a failed
+    check), or None.
+    """
+    v = np.array(v, dtype=complex)
+    live = np.arange(v.shape[1])  # the columns still iterating, held compactly in w
+    w, run, inc = v, np.zeros(live.size, dtype=int), np.full(live.size, np.inf)
+    for _ in range(max_iter):
+        if live.size == 0:
+            break
+        nxt = family.theta @ w
+        inc = np.linalg.norm(nxt - w, axis=0)
+        w = nxt
+        run = np.where(inc <= tol, run + 1, 0)
+        done = run >= window
+        if done.any():
+            v[:, live[done]] = w[:, done]
+            live, w, run, inc = live[~done], w[:, ~done], run[~done], inc[~done]
+    st = family.structure
+    bound = 10.0 * tol * np.maximum(1.0, _norms(st, v))
+    off = np.zeros(v.shape[1], dtype=bool)
+    for gen in family.generators:
+        off |= _norms(st, gen.superop @ v - v) > bound
+    errors = [Divergent(stalled) if o else None for o in off]
+    for j, last in zip(live, inc):
+        errors[j] = Divergent(f"no Cauchy window of {window} after {max_iter} steps (last increment {last:g})")
+    return v, errors
+
+
+def _pi_limits(instance: DilationInstance, y: np.ndarray):
+    """pi_limit of every column of a corner coordinate block: the limits and, per column, its error or None."""
+    cstar = cstar_closure(fixed_space(instance.phi)).matrix
+    gaps = np.linalg.norm(y - cstar @ (cstar.conj().T @ y), axis=0)
+    outside = gaps > SPAN_TOL * np.maximum(1.0, _norms(instance.emb.corner, y))
+    errors = [
+        NotInCStar(f"element is {gap:g} away from C*(N^phi); limit not guaranteed") if out else None
+        for gap, out in zip(gaps, outside)
+    ]
+    inside = np.flatnonzero(~outside)
+    z = np.zeros((instance.structure.coord_dim, y.shape[1]), dtype=complex)
+    z[:, inside], inside_errors = _column_limits(
+        instance.alpha, _injected(instance.emb, y[:, inside]), "ambient iteration stalled off the fixed space"
+    )
+    for j, err in zip(inside, inside_errors):
+        errors[j] = err
+    return z, errors
+
+
+def _beta(powers: list, s_idx: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """beta_s of column j for its multi-index s_idx[j], from the stacked powers of each generator."""
+    for g, pw in enumerate(powers):
+        v = (pw[s_idx[:, g]] @ v.T[:, :, None])[:, :, 0].T
+    return v
 
 
 @dataclass(frozen=True)
@@ -569,6 +678,16 @@ class SuiteReport:
         }
 
 
+def _lifting_item(structure, residuals, errors, threshold, samples, note) -> ItemResult:
+    """Row of a lifting identity: the worst residual norm, or inf noting the last sample's error."""
+    failed = [err for err in errors if err is not None]
+    if failed:
+        worst, note = np.inf, f"{note}; {failed[-1]}".strip("; ")
+    else:
+        worst = float(np.max(_norms(structure, residuals), initial=0.0))
+    return ItemResult("PASS" if worst <= threshold else "FAIL", worst, threshold, samples, note=note)
+
+
 def property_suite(
     obj,
     seed: int = 0,
@@ -588,6 +707,11 @@ def property_suite(
     inequality) or a DilationInstance (the same on the corner family plus
     the lifting identity pi(E(x)) = x and the factorization E(pi(y)) =
     Phi(y)).  Item failures never raise; they are reported as FAIL rows.
+
+    Each item draws its samples in the order and with the numbers of one
+    draw per sample, and works on them as one (D, S) coordinate block.
+    rho is the one already built for the family, say by a report at its
+    config's tolerance, or else the one at the default settings.
     """
     instance = obj if isinstance(obj, DilationInstance) else None
     family = instance.phi if instance is not None else obj
@@ -600,19 +724,28 @@ def property_suite(
     erg = None
     erg_error = ""
     try:
-        erg = ergodic_projection(family)
+        built = ergodic_projection.built(family)
+        erg = built[0] if built else ergodic_projection(family)
     except CpfixError as exc:
         erg_error = str(exc)
+    rho = None if erg is None else erg.matrix
     trivial = fs.dimension == 0
 
     # Kadison-Schwarz: phi(x)* phi(x) <= phi(x*x) for every generator.
-    worst = np.inf
-    for _ in range(samples):
-        x = random_element(st, rng)
-        x = x * (1.0 / max(np.linalg.norm(x.coords()), 1e-30))
-        for gen in family.generators:
-            img = apply(gen, x)
-            worst = min(worst, _min_eig(apply(gen, x.adjoint() @ x) - img.adjoint() @ img))
+    # Per sample, random_element draws n^2 real and then n^2 imaginary parts per block.
+    parts = np.split(
+        rng.standard_normal((samples, 2 * st.coord_dim)), np.cumsum([2 * n * n for n in st.block_dims])[:-1], axis=1
+    )
+    x = _coords(
+        [(g[:, : n * n] + 1j * g[:, n * n :]).reshape(samples, n, n) / np.sqrt(2.0) for n, g in zip(st.block_dims, parts)]
+    )
+    x = x * (1.0 / np.maximum(np.linalg.norm(x, axis=0), 1e-30))
+    xx = _product(st, _star(st, x), x)
+    diffs = []
+    for gen in family.generators:
+        img = gen.superop @ x
+        diffs.append(gen.superop @ xx - _product(st, _star(st, img), img))
+    worst = _psd_floor(st, diffs)
     worst = 0.0 if not np.isfinite(worst) else worst
     items["kadison_schwarz"] = ItemResult(
         "PASS" if worst >= -psd_floor else "FAIL", float(worst), psd_floor, samples
@@ -622,17 +755,15 @@ def property_suite(
     if trivial:
         items["monotone_net"] = ItemResult("PASS", 0.0, psd_floor, 0, note="trivial fixed space")
     else:
-        worst = np.inf
-        for _ in range(samples):
-            x = _combo(fs.matrix, st, rng)
-            y = x.adjoint() @ x
-            for _ in range(mono_steps):
-                advanced = y
-                for gen in family.generators:
-                    stepped = apply(gen, advanced)
-                    worst = min(worst, _min_eig(stepped - advanced))
-                    advanced = stepped
-                y = advanced
+        x = _combos(fs.matrix, rng.standard_normal((samples, 2, fs.dimension)))
+        y = _product(st, _star(st, x), x)
+        diffs = []
+        for _ in range(mono_steps):
+            for gen in family.generators:
+                stepped = gen.superop @ y
+                diffs.append(stepped - y)
+                y = stepped
+        worst = _psd_floor(st, diffs)
         items["monotone_net"] = ItemResult(
             "PASS" if worst >= -psd_floor else "FAIL", float(worst), psd_floor, samples
         )
@@ -643,20 +774,15 @@ def property_suite(
     elif erg is None:
         items["limit_vs_mean"] = ItemResult("FAIL", np.inf, lim_tol, 0, note=erg_error)
     else:
-        worst = 0.0
-        failures = 0
-        note = ""
-        for _ in range(samples):
-            x = _combo(fs.matrix, st, rng)
-            q = x.adjoint() @ x
-            try:
-                lim = phi_limit(family, q)
-                worst = max(worst, (lim - erg.apply(q)).norm())
-            except Divergent as exc:
-                failures += 1
-                note = f"divergent on {failures} samples: {exc}"
-        status = "PASS" if failures == 0 and worst <= lim_tol else "FAIL"
-        items["limit_vs_mean"] = ItemResult(status, float(worst), lim_tol, samples, note=note)
+        x = _combos(fs.matrix, rng.standard_normal((samples, 2, fs.dimension)))
+        q = _product(st, _star(st, x), x)
+        lims, errors = _column_limits(family, q, "iteration stalled off the fixed space")
+        converged = np.array([err is None for err in errors], dtype=bool)
+        failed = [err for err in errors if err is not None]
+        worst = float(np.max(_norms(st, (lims - rho @ q)[:, converged]), initial=0.0))
+        note = f"divergent on {len(failed)} samples: {failed[-1]}" if failed else ""
+        status = "PASS" if not failed and worst <= lim_tol else "FAIL"
+        items["limit_vs_mean"] = ItemResult(status, worst, lim_tol, samples, note=note)
 
     # Choi-Effros identity for the idempotent Phi on C*(N^phi).
     if cs.dimension == 0:
@@ -664,16 +790,14 @@ def property_suite(
     elif erg is None:
         items["choi_effros"] = ItemResult("FAIL", np.inf, ce_tol, 0, note=erg_error)
     else:
-        worst = 0.0
-        for _ in range(samples):
-            x = _combo(cs.matrix, st, rng)
-            y = _combo(cs.matrix, st, rng)
-            a = erg.apply(x)
-            lhs = erg.apply(a @ y)
-            rhs = erg.apply(a @ erg.apply(y))
-            worst = max(worst, (lhs - rhs).norm())
+        # x and y are drawn alternately, one pair per sample
+        g = rng.standard_normal((samples, 2, 2, cs.dimension))
+        x, y = _combos(cs.matrix, g[:, 0]), _combos(cs.matrix, g[:, 1])
+        a = rho @ x
+        gap = rho @ _product(st, a, y) - rho @ _product(st, a, rho @ y)
+        worst = float(np.max(_norms(st, gap), initial=0.0))
         items["choi_effros"] = ItemResult(
-            "PASS" if worst <= ce_tol else "FAIL", float(worst), ce_tol, samples
+            "PASS" if worst <= ce_tol else "FAIL", worst, ce_tol, samples
         )
 
     # Vector inequality ||phi_s(a y^{1/2}) h||^2 <= ||a||^2 (phi_s(y) h, h).
@@ -682,22 +806,39 @@ def property_suite(
     elif erg is None:
         items["vector_bound"] = ItemResult("FAIL", np.inf, vec_tol, 0, note=erg_error)
     else:
-        worst = -np.inf
-        for _ in range(samples):
-            x = _combo(fs.matrix, st, rng)
-            q = x.adjoint() @ x
-            y = erg.apply(q) - q
-            root = AlgebraElement(st, tuple(psd_sqrt(blk, tol=1e-8) for blk in y.blocks))
-            a = _combo(cs.matrix, st, rng)
-            h = random_unit_vector(rng, st.space_dim)
-            s_idx = tuple(int(v) for v in rng.integers(0, s_max + 1, size=family.rank))
-            moved = apply_power(family, s_idx, a @ root)
-            lhs = float(np.linalg.norm(embed(moved) @ h) ** 2)
-            rhs = a.norm() ** 2 * float(np.real(h.conj() @ embed(apply_power(family, s_idx, y)) @ h))
-            worst = max(worst, lhs - rhs)
+        # normals and rng.integers interleave, so the draws stay one sample at a time
+        gx = np.empty((samples, 2, fs.dimension))
+        ga = np.empty((samples, 2, cs.dimension))
+        h = np.empty((samples, st.space_dim), dtype=complex)
+        s_idx = np.empty((samples, family.rank), dtype=int)
+        for j in range(samples):
+            gx[j] = rng.standard_normal((2, fs.dimension))
+            ga[j] = rng.standard_normal((2, cs.dimension))
+            h[j] = random_unit_vector(rng, st.space_dim)
+            s_idx[j] = rng.integers(0, s_max + 1, size=family.rank)
+        x = _combos(fs.matrix, gx)
+        q = _product(st, _star(st, x), x)
+        y = rho @ q - q
+        root = _coords([psd_sqrt(b, tol=1e-8) for b in _blocks(st, y)])
+        a = _combos(cs.matrix, ga)
+        powers = []
+        for gen in family.generators:
+            pw = [np.eye(st.coord_dim, dtype=complex)]
+            for _ in range(s_max):
+                pw.append(gen.superop @ pw[-1])
+            powers.append(np.stack(pw))
+        moved = _blocks(st, _beta(powers, s_idx, _product(st, a, root)))
+        moved_y = _blocks(st, _beta(powers, s_idx, y))
+        lhs = np.zeros(samples)
+        form = np.zeros(samples)
+        for m, my, sl in zip(moved, moved_y, st.space_slices()):
+            hb = h[:, sl, None]
+            lhs += np.sum(np.abs(m @ hb) ** 2, axis=(1, 2))
+            form += np.real(hb.conj().swapaxes(1, 2) @ my @ hb)[:, 0, 0]
+        worst = float(np.max(lhs - _norms(st, a) ** 2 * form, initial=-np.inf))
         worst = 0.0 if not np.isfinite(worst) else worst
         items["vector_bound"] = ItemResult(
-            "PASS" if worst <= vec_tol else "FAIL", float(worst), vec_tol, samples
+            "PASS" if worst <= vec_tol else "FAIL", worst, vec_tol, samples
         )
 
     if instance is not None:
@@ -709,37 +850,18 @@ def property_suite(
         if fs_ambient.dimension == 0:
             items["lift_identity"] = ItemResult("PASS", 0.0, tol_eq, 0, note="trivial ambient fixed space")
         else:
-            worst = 0.0
-            fail_note = note
-            for _ in range(samples):
-                x = _combo(fs_ambient.matrix, instance.structure, rng)
-                try:
-                    z = pi_limit(instance, compress(instance.emb, x))
-                    worst = max(worst, (z - x).norm())
-                except CpfixError as exc:
-                    worst = np.inf
-                    fail_note = f"{note}; {exc}".strip("; ")
-            items["lift_identity"] = ItemResult(
-                "PASS" if worst <= tol_eq else "FAIL", float(worst), tol_eq, samples, note=fail_note
-            )
+            x = _combos(fs_ambient.matrix, rng.standard_normal((samples, 2, fs_ambient.dimension)))
+            z, errors = _pi_limits(instance, _compressed(instance.emb, x))
+            items["lift_identity"] = _lifting_item(instance.structure, z - x, errors, tol_eq, samples, note)
 
         if cs.dimension == 0 or erg is None:
             note2 = "trivial fixed space" if cs.dimension == 0 else erg_error
             status = "PASS" if cs.dimension == 0 else "FAIL"
             items["factorization"] = ItemResult(status, 0.0, lim_tol, 0, note=note2)
         else:
-            worst = 0.0
-            fail_note = note
-            for _ in range(samples):
-                y = _combo(cs.matrix, st, rng)
-                try:
-                    z = pi_limit(instance, y)
-                    worst = max(worst, (compress(instance.emb, z) - erg.apply(y)).norm())
-                except CpfixError as exc:
-                    worst = np.inf
-                    fail_note = f"{note}; {exc}".strip("; ")
-            items["factorization"] = ItemResult(
-                "PASS" if worst <= lim_tol else "FAIL", float(worst), lim_tol, samples, note=fail_note
-            )
+            y = _combos(cs.matrix, rng.standard_normal((samples, 2, cs.dimension)))
+            z, errors = _pi_limits(instance, y)
+            residuals = _compressed(instance.emb, z) - rho @ y
+            items["factorization"] = _lifting_item(st, residuals, errors, lim_tol, samples, note)
 
     return SuiteReport(items, seed, samples)

@@ -107,8 +107,12 @@ def psd_sqrt(a: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     """Hermitian PSD square root B with B @ B = A.
 
     Eigenvalues in [-tol * max(1, ||A||), 0) are clamped to zero; below
-    that the matrix is rejected with NotPSD.
+    that the matrix is rejected with NotPSD.  A stack of shape (..., n, n)
+    gives the stack of roots; it raises what a loop over the stack in C
+    order would raise first, with the same message.
     """
+    if np.ndim(a) > 2:
+        return _psd_sqrt_stack(np.asarray(a, dtype=complex), tol)
     w, u = eig_hermitian(a)
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
     if w.size and w[0] < -tol * scale:
@@ -116,6 +120,30 @@ def psd_sqrt(a: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     root = np.sqrt(np.clip(w, 0.0, None))
     b = (u * root) @ u.conj().T
     return 0.5 * (b + b.conj().T)
+
+
+def _psd_sqrt_stack(a: np.ndarray, tol: float) -> np.ndarray:
+    """psd_sqrt of every matrix of a stack, with the same checks per matrix."""
+    if a.shape[-1] != a.shape[-2]:
+        raise ShapeMismatch(f"psd_sqrt: matrices are {a.shape[-2:]}, not square")
+    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+        raise ValueError("matrix: contains NaN or Inf entries")
+    adj = a.conj().swapaxes(-1, -2)
+    herm_bound = HERMITIAN_TOL * np.maximum(1.0, op_norm(a))
+    herm_bad = op_norm(a - adj) > herm_bound
+    try:
+        w, u = np.linalg.eigh(0.5 * (a + adj))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"hermitian eigensolver failed: {exc}") from exc
+    psd_bound = tol * np.maximum(1.0, np.max(np.abs(w), axis=-1, initial=0.0))
+    bad = np.flatnonzero(herm_bad | (np.min(w, axis=-1, initial=0.0) < -psd_bound))
+    if bad.size:
+        k = np.unravel_index(bad[0], herm_bad.shape)
+        if herm_bad[k]:
+            raise NotHermitian(f"matrix deviates from A=A* by more than {herm_bound[k]:g}")
+        raise NotPSD(f"min eigenvalue {w[k][0]:g} below -{psd_bound[k]:g}")
+    b = (u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    return 0.5 * (b + b.conj().swapaxes(-1, -2))
 
 
 def is_psd(a: np.ndarray, tol: float = PSD_TOL) -> bool:

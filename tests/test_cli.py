@@ -191,6 +191,7 @@ def test_derived_objects_built_once_per_family(tmp_path, monkeypatch):
     counts = count_calls(
         monkeypatch,
         ("cpsemi.to_superoperator", "cpsemi.validate_family", "cpsemi.compose", "dilation.MinimalityResult")
+        + ("dilation.element_is_psd",)
         + results,
     )
     cmd_dilation(dilation)
@@ -202,12 +203,26 @@ def test_derived_objects_built_once_per_family(tmp_path, monkeypatch):
     assert [counts[name] for name in results] == [2, 1, 1]
     # the minimality row and the suite's lifting items share one verdict
     assert counts["dilation.MinimalityResult"] == 1
+    # compression and minimality share one co-invariance check: one PSD test per generator
+    assert counts["dilation.element_is_psd"] == 2
 
     counts.update(dict.fromkeys(counts, 0))
     cmd_analyze(mixture)
     assert counts["cpsemi.to_superoperator"] == 2
     assert counts["cpsemi.validate_family"] == 1
     assert [counts[name] for name in results] == [1, 1, 1]
+
+
+def test_suite_checks_the_reports_rho(tmp_path, monkeypatch):
+    path = tmp_path / "mixture.json"
+    data = cmd_demo("random-mixture", {"seed": "3", "d": "2"}, str(path))
+    data["config"]["convergence_tol"] = 1e-9
+    path.write_text(json.dumps(data))
+    counts = count_calls(monkeypatch, ("fixpoint.ErgodicProjection",))
+    rep = cmd_analyze(str(path))
+    # the ergodic_projection row and the suite use the rho built at the config's tolerance
+    assert counts["fixpoint.ErgodicProjection"] == 1
+    assert rep["exit_code"] == 0
 
 
 def test_unknown_demo_family(tmp_path):

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cpfix.errors import Divergent, NotContractive, NotFixed, NotInCStar
-from cpfix.matcore import op_norm, random_complex, random_unitary
+from cpfix.errors import CpfixError, Divergent, NotContractive, NotFixed, NotInCStar
+from cpfix.matcore import op_norm, psd_sqrt, random_complex, random_unit_vector, random_unitary
 from cpfix.vnalg import (
     AlgebraElement,
     BlockStructure,
     compress,
     element_from_coords,
+    embed,
     identity_element,
+    random_element,
 )
 from cpfix.cpsemi import (
+    apply,
+    apply_power,
     cp_map,
     damping_family,
     identity_family,
@@ -20,9 +26,17 @@ from cpfix.cpsemi import (
     mixture_family,
     rotation_family,
 )
-from cpfix.dilation import build_random_instance, build_tail_shift, make_instance
+from cpfix.dilation import (
+    DilationInstance,
+    Minimality,
+    build_random_instance,
+    build_tail_shift,
+    check_minimality,
+    make_instance,
+)
 from cpfix.fixpoint import (
     FixedSpace,
+    _combo,
     check_complete_isometry,
     cstar_closure,
     ergodic_projection,
@@ -365,3 +379,169 @@ def test_property_suite_random_instances():
         inst = build_random_instance(seed, n_max=3, m_max=3, d=1 + seed % 2)
         rep = property_suite(inst, seed=seed, samples=15)
         assert rep.passed, {k: (v.status, v.note) for k, v in rep.items.items()}
+
+
+def looped_suite(obj, rng, samples, mono_steps=10, s_max=10):
+    """Reference: the property suite one sample at a time, with one element and one Kraus apply per step.
+
+    Returns {item: (status, worst, count, note)} at the default thresholds.
+    """
+    instance = obj if isinstance(obj, DilationInstance) else None
+    family = instance.phi if instance is not None else obj
+    st = family.structure
+    fs = fixed_space(family)
+    cs = cstar_closure(fs)
+    erg = ergodic_projection(family)
+
+    def min_eig(x):
+        return min(float(np.linalg.eigvalsh(0.5 * (b + b.conj().T))[0]) for b in x.blocks)
+
+    items = {}
+    worst = np.inf
+    for _ in range(samples):
+        x = random_element(st, rng)
+        x = x * (1.0 / max(np.linalg.norm(x.coords()), 1e-30))
+        for gen in family.generators:
+            img = apply(gen, x)
+            worst = min(worst, min_eig(apply(gen, x.adjoint() @ x) - img.adjoint() @ img))
+    worst = worst if np.isfinite(worst) else 0.0
+    items["kadison_schwarz"] = ("PASS" if worst >= -1e-9 else "FAIL", worst, samples, "")
+
+    worst = np.inf
+    for _ in range(samples):
+        x = _combo(fs.matrix, st, rng)
+        y = x.adjoint() @ x
+        for _ in range(mono_steps):
+            for gen in family.generators:
+                stepped = apply(gen, y)
+                worst = min(worst, min_eig(stepped - y))
+                y = stepped
+    items["monotone_net"] = ("PASS" if worst >= -1e-9 else "FAIL", worst, samples, "")
+
+    worst, failures, note = 0.0, 0, ""
+    for _ in range(samples):
+        x = _combo(fs.matrix, st, rng)
+        q = x.adjoint() @ x
+        try:
+            worst = max(worst, (phi_limit(family, q) - erg.apply(q)).norm())
+        except Divergent as exc:
+            failures += 1
+            note = f"divergent on {failures} samples: {exc}"
+    items["limit_vs_mean"] = ("PASS" if failures == 0 and worst <= 1e-7 else "FAIL", worst, samples, note)
+
+    worst = 0.0
+    for _ in range(samples):
+        x = _combo(cs.matrix, st, rng)
+        y = _combo(cs.matrix, st, rng)
+        a = erg.apply(x)
+        worst = max(worst, (erg.apply(a @ y) - erg.apply(a @ erg.apply(y))).norm())
+    items["choi_effros"] = ("PASS" if worst <= 1e-9 else "FAIL", worst, samples, "")
+
+    worst = -np.inf
+    for _ in range(samples):
+        x = _combo(fs.matrix, st, rng)
+        q = x.adjoint() @ x
+        y = erg.apply(q) - q
+        root = AlgebraElement(st, tuple(psd_sqrt(b, tol=1e-8) for b in y.blocks))
+        a = _combo(cs.matrix, st, rng)
+        h = random_unit_vector(rng, st.space_dim)
+        s = tuple(int(v) for v in rng.integers(0, s_max + 1, size=family.rank))
+        lhs = np.linalg.norm(embed(apply_power(family, s, a @ root)) @ h) ** 2
+        rhs = a.norm() ** 2 * np.real(h.conj() @ embed(apply_power(family, s, y)) @ h)
+        worst = max(worst, lhs - rhs)
+    worst = worst if np.isfinite(worst) else 0.0
+    items["vector_bound"] = ("PASS" if worst <= 1e-9 else "FAIL", worst, samples, "")
+
+    if instance is not None:
+        minimal = check_minimality(instance.alpha, instance.p).status is Minimality.MINIMAL
+        base = "" if minimal else "minimality not established; lifting identity expected to fail"
+        fs_ambient = fixed_space(instance.alpha)
+        for key, basis, structure, threshold in (
+            ("lift_identity", fs_ambient.matrix, instance.structure, 1e-8),
+            ("factorization", cs.matrix, st, 1e-7),
+        ):
+            worst, note = 0.0, base
+            for _ in range(samples):
+                x = _combo(basis, structure, rng)
+                try:
+                    if key == "lift_identity":
+                        residual = pi_limit(instance, compress(instance.emb, x)) - x
+                    else:
+                        residual = compress(instance.emb, pi_limit(instance, x)) - erg.apply(x)
+                    worst = max(worst, residual.norm())
+                except CpfixError as exc:
+                    worst, note = np.inf, f"{base}; {exc}".strip("; ")
+            items[key] = ("PASS" if worst <= threshold else "FAIL", worst, samples, note)
+    return items
+
+
+def assert_suite_matches_loop(obj, seed, samples):
+    # default_rng passes a Generator through, so each state after the run shows what was drawn
+    batched_rng, looped_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    rep = property_suite(obj, seed=batched_rng, samples=samples)
+    ref = looped_suite(obj, looped_rng, samples)
+    assert set(rep.items) == set(ref)
+    for key, (status, worst, count, note) in ref.items():
+        item = rep.items[key]
+        assert (item.status, item.count, item.note) == (status, count, note), key
+        if np.isinf(worst):
+            assert item.worst == worst, key
+        else:
+            assert abs(item.worst - worst) <= 1e-12 * max(1.0, abs(worst)), (key, item.worst, worst)
+    assert batched_rng.bit_generator.state == looped_rng.bit_generator.state
+    return rep
+
+
+def test_property_suite_matches_looped_reference():
+    cases = (
+        (mixture_family(7, dims=(2, 3), terms=3, d=2), 11, 40),
+        (leaky_damping_family(0.6, 0.5), 12, 40),
+        (build_tail_shift(2, 3, np.diag([1.0, np.exp(0.9j)])), 13, 25),
+        (nonminimal_identity_instance(), 14, 25),
+    )
+    reports = [assert_suite_matches_loop(obj, seed, samples) for obj, seed, samples in cases]
+    assert all(rep.passed for rep in reports[:3])
+    lift = reports[3].items["lift_identity"]
+    assert lift.status == "FAIL" and lift.worst > 1e-3 and "minimality" in lift.note
+
+
+def test_property_suite_divergent_limit_matches_looped_reference():
+    # a spectral gap of 5e-5: five increments below 1e-10 never come within 10^5 steps
+    rep = assert_suite_matches_loop(leaky_damping_family(0.99995, 0.005), 15, 2)
+    item = rep.items["limit_vs_mean"]
+    assert item.status == "FAIL"
+    assert item.note.startswith("divergent on 2 samples: no Cauchy window of 5 after 100000 steps")
+
+
+def rebased(family, unitaries, order):
+    """The family conjugated by unitaries[i] on block i, with new block k holding old block order[k]."""
+    dims = family.structure.block_dims
+    where = {old: new for new, old in enumerate(order)}
+    target = BlockStructure(tuple(dims[old] for old in order))
+    gens = [
+        cp_map(target, target, {
+            (where[j], where[i]): [unitaries[j] @ a @ unitaries[i].conj().T for a in ops] for (j, i), ops in gen.kraus
+        })
+        for gen in family.generators
+    ]
+    return make_family(gens)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([(2,), (3,), (2, 3), (3, 2, 2)]),
+    st.integers(min_value=1, max_value=2),
+)
+def test_rebasing_and_block_permutation_leave_verdicts(seed, dims, d):
+    family = mixture_family(seed, dims=dims, terms=3, d=d)
+    rng = np.random.default_rng(seed + 1)
+    unitaries = [random_unitary(rng, n) for n in dims]
+    other = rebased(family, unitaries, list(rng.permutation(len(dims))))
+
+    def verdicts(fam):
+        suite = property_suite(fam, seed=seed, samples=20)
+        statuses = {key: item.status for key, item in suite.items.items()}
+        return fixed_space(fam).dimension, ergodic_projection(fam).rank, statuses
+
+    assert verdicts(other) == verdicts(family)

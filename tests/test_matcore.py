@@ -174,3 +174,33 @@ def test_psd_sqrt_square_property(n, seed):
     b = psd_sqrt(a)
     assert op_norm(b @ b - a) <= 1e-9 * max(1.0, op_norm(a))
     assert op_norm(b - b.conj().T) <= 1e-12 * max(1.0, op_norm(b))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6))
+def test_psd_sqrt_stack_matches_per_matrix(n, seed):
+    g = random_complex(np.random.default_rng(seed), 6 * n, n).reshape(3, 2, n, n)
+    a = g @ g.conj().swapaxes(-1, -2)
+    roots = psd_sqrt(a)
+    assert roots.shape == (3, 2, n, n)
+    for i in range(3):
+        for j in range(2):
+            assert np.max(np.abs(roots[i, j] - psd_sqrt(a[i, j]))) <= 1e-14
+
+
+def bad_message(exc_type, a):
+    with pytest.raises(exc_type) as info:
+        psd_sqrt(a)
+    return str(info.value)
+
+
+def test_psd_sqrt_stack_raises_like_the_loop():
+    eye = np.eye(2, dtype=complex)
+    non_hermitian = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    negative = np.diag([1.0, -0.5]).astype(complex)
+    for bad, exc_type in ((non_hermitian, NotHermitian), (negative, NotPSD)):
+        stack = np.stack([eye, 2.0 * eye, bad, eye])
+        assert bad_message(exc_type, stack) == bad_message(exc_type, bad)
+    # the first bad matrix in C order decides, as in a loop over the stack
+    stack = np.stack([[eye, negative], [non_hermitian, eye]])
+    assert bad_message(NotPSD, stack) == bad_message(NotPSD, negative)
