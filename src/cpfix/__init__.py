@@ -41,7 +41,6 @@ from .vnalg import (
     identity_element,
     inject,
     validate_projection,
-    zero_element,
 )
 from .cpsemi import (
     CPMap,

@@ -31,8 +31,10 @@ def _cached_on_argument(fn):
     """Memoise fn(obj, ...) on obj, keyed by the remaining bound arguments.
 
     Families, fixed spaces and elements are immutable, so a result computed
-    once serves every later call with the same arguments.  `fn.built(obj)`
-    lists the results already computed on obj, oldest first.
+    once serves every later call with the same arguments.
+    `fn.built_or_default(obj, *args)` returns the oldest result already
+    computed on obj whose arguments after obj begin with args, else
+    fn(obj, *args) at the remaining defaults.
     """
     signature = inspect.signature(fn)
 
@@ -46,10 +48,13 @@ def _cached_on_argument(fn):
             memo[key] = fn(obj, *args, **kwargs)
         return memo[key]
 
-    def built(obj) -> list:
-        return [value for key, value in vars(obj).get("_derived", {}).items() if key[0] == fn.__name__]
+    def built_or_default(obj, *args):
+        for key, value in vars(obj).get("_derived", {}).items():
+            if key[0] == fn.__name__ and key[1 : 1 + len(args)] == args:
+                return value
+        return cached(obj, *args)
 
-    cached.built = built
+    cached.built_or_default = built_or_default
     return cached
 
 
@@ -337,13 +342,6 @@ def apply_power(family: SemigroupFamily, s, x: AlgebraElement) -> AlgebraElement
     for gen, count in zip(family.generators, s):
         for _ in range(int(count)):
             x = apply(gen, x)
-    return x
-
-
-def diag_step(family: SemigroupFamily, x: AlgebraElement) -> AlgebraElement:
-    """One diagonal step: apply every generator once."""
-    for gen in family.generators:
-        x = apply(gen, x)
     return x
 
 

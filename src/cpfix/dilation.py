@@ -24,15 +24,16 @@ from .cpsemi import (
     compose,
     conjugation_map,
     cp_map,
-    diag_step,
     make_family,
 )
 from .vnalg import (
     AlgebraElement,
     BlockStructure,
     CornerEmbedding,
+    _norms,
     corner,
     compress,
+    element_from_coords,
     identity_element,
     inject,
     random_element,
@@ -40,6 +41,11 @@ from .vnalg import (
 )
 
 PSD_CHECK_TOL = 1e-9
+# the semigroup-law check of compress_semigroup: tolerance, and random
+# elements sampled per generator pair from a fixed seed
+LAW_TOL = 1e-9
+LAW_SAMPLES = 20
+LAW_SEED = 0
 
 
 def element_is_psd(x: AlgebraElement, tol: float = PSD_CHECK_TOL) -> bool:
@@ -47,16 +53,16 @@ def element_is_psd(x: AlgebraElement, tol: float = PSD_CHECK_TOL) -> bool:
 
 
 @_cached_on_argument
-def check_coinvariance(alpha: SemigroupFamily, p: AlgebraElement, tol: float = PSD_CHECK_TOL) -> bool:
+def check_coinvariance(alpha: SemigroupFamily, p: AlgebraElement) -> bool:
     """True iff (1-p) - alpha_i(1-p) is PSD for every generator.
 
     Generator-level checking suffices: endomorphisms preserve order, so
     composites inherit the inequality.  The verdict is cached on alpha,
-    keyed by p and tol, so compression and minimality share one check.
+    keyed by p, so compression and minimality share one check.
     """
     q = identity_element(alpha.structure) - p
     for gen in alpha.generators:
-        if not element_is_psd(q - apply(gen, q), tol):
+        if not element_is_psd(q - apply(gen, q)):
             return False
     return True
 
@@ -87,25 +93,30 @@ def check_minimality(
     The defect net is PSD and decreasing, hence convergent.  A candidate
     limit is only accepted as NonMinimal when it is itself fixed by the
     diagonal step; a small increment on a slowly decaying orbit yields
-    Undetermined rather than a wrong verdict.  The result is cached on
+    Undetermined rather than a wrong verdict.  The net is iterated on
+    coordinates by the diagonal step alpha.theta.  The result is cached on
     alpha, keyed by p and the tolerances.
     """
     if not check_coinvariance(alpha, p):
         raise CoInvarianceViolated("alpha(1-p) <= 1-p fails for some generator")
-    defect = identity_element(alpha.structure) - p
+    st = alpha.structure
+    theta = alpha.theta
+
+    def norm(v: np.ndarray) -> float:
+        return float(_norms(st, v)[0])
+
+    defect = (identity_element(st) - p).coords()[:, None]
     for n in range(max_iter):
-        norm = defect.norm()
-        if norm <= 10.0 * tol:
-            return MinimalityResult(Minimality.MINIMAL, n, float(norm))
-        nxt = diag_step(alpha, defect)
-        if (nxt - defect).norm() <= tol:
-            fix_defect = (diag_step(alpha, nxt) - nxt).norm()
-            if nxt.norm() <= 10.0 * tol:
-                return MinimalityResult(Minimality.MINIMAL, n + 1, float(nxt.norm()))
-            if fix_defect <= 10.0 * tol:
-                return MinimalityResult(Minimality.NON_MINIMAL, n + 1, float(nxt.norm()), limit=nxt)
+        if norm(defect) <= 10.0 * tol:
+            return MinimalityResult(Minimality.MINIMAL, n, norm(defect))
+        nxt = theta @ defect
+        if norm(nxt - defect) <= tol:
+            if norm(nxt) <= 10.0 * tol:
+                return MinimalityResult(Minimality.MINIMAL, n + 1, norm(nxt))
+            if norm(theta @ nxt - nxt) <= 10.0 * tol:
+                return MinimalityResult(Minimality.NON_MINIMAL, n + 1, norm(nxt), limit=element_from_coords(st, nxt))
         defect = nxt
-    return MinimalityResult(Minimality.UNDETERMINED, max_iter, float(defect.norm()), limit=defect)
+    return MinimalityResult(Minimality.UNDETERMINED, max_iter, norm(defect), limit=element_from_coords(st, defect))
 
 
 def compress_map(phi: CPMap, emb: CornerEmbedding) -> CPMap:
@@ -127,9 +138,6 @@ def compress_semigroup(
     alpha: SemigroupFamily,
     p: AlgebraElement,
     emb: CornerEmbedding | None = None,
-    tol: float = 1e-9,
-    samples: int = 20,
-    seed: int = 0,
 ) -> tuple[CornerEmbedding, SemigroupFamily]:
     """Compress every generator to the corner and verify the semigroup law.
 
@@ -142,21 +150,21 @@ def compress_semigroup(
     if emb is None:
         emb = corner(alpha.structure, p)
     gens = [compress_map(g, emb) for g in alpha.generators]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(LAW_SEED)
     for a_idx, ag in enumerate(alpha.generators):
         for b_idx, bg in enumerate(alpha.generators):
             ambient_pair = compose(ag, bg)
             corner_pair = compose(gens[a_idx], gens[b_idx])
             gap = op_norm(compress_map(ambient_pair, emb).superop - corner_pair.superop)
-            if gap > tol:
+            if gap > LAW_TOL:
                 raise SemigroupLawViolated(
                     f"compressed generators {a_idx},{b_idx} break the semigroup law (gap {gap:g})"
                 )
-            for _ in range(samples):
+            for _ in range(LAW_SAMPLES):
                 y = random_element(emb.corner, rng)
                 lhs = compress(emb, apply(ambient_pair, inject(emb, y)))
                 rhs = apply(corner_pair, y)
-                if (lhs - rhs).norm() > tol * max(1.0, y.norm()):
+                if (lhs - rhs).norm() > LAW_TOL * max(1.0, y.norm()):
                     raise SemigroupLawViolated("sampled semigroup-law check failed")
     return emb, make_family(gens)
 

@@ -23,11 +23,18 @@ from .errors import (
     NotFixed,
     NotInCStar,
 )
-from .matcore import nullspace, nullspace_pair, op_norm, psd_sqrt, random_complex, random_unit_vector
+from .matcore import nullspace, nullspace_pair, op_norm, psd_sqrt, random_unit_vector
 from .vnalg import (
     AlgebraElement,
     BlockStructure,
-    adjoint_coords,
+    _blocks,
+    _combos,
+    _compressed,
+    _coords,
+    _injected,
+    _norms,
+    _product,
+    _star,
     amplify_combination,
     compress,
     element_from_coords,
@@ -39,6 +46,17 @@ from .dilation import DilationInstance, Minimality, check_minimality
 
 FIXED_TOL = 1e-10
 SPAN_TOL = 1e-8
+# the stopping rule of the diagonal limits: `WINDOW` consecutive increments
+# below `STEP_TOL` within `MAX_ITER` steps
+STEP_TOL = 1e-10
+MAX_ITER = 10**5
+WINDOW = 5
+# property-suite thresholds no report sets
+LIMIT_TOL = 1e-7  # limit_vs_mean and factorization
+CHOI_EFFROS_TOL = 1e-9
+VECTOR_TOL = 1e-9
+# random combinations of fixed-basis elements that join the basis as ideal generators
+EXTRA_GENERATORS = 8
 
 
 def _orthonormal_columns(m: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
@@ -50,11 +68,9 @@ def _orthonormal_columns(m: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
     return u[:, s > rel_tol * s[0]]
 
 
-def span_distance(basis_matrix: np.ndarray, v: np.ndarray) -> float:
-    """Distance of a coordinate vector to the column span."""
-    if basis_matrix.shape[1] == 0:
-        return float(np.linalg.norm(v))
-    return float(np.linalg.norm(v - basis_matrix @ (basis_matrix.conj().T @ v)))
+def span_distance(basis_matrix: np.ndarray, v: np.ndarray):
+    """Distance of a coordinate vector, or of each column of a coordinate block, to the column span."""
+    return np.linalg.norm(v - basis_matrix @ (basis_matrix.conj().T @ v), axis=0)
 
 
 def _hermitian_basis(structure: BlockStructure, cols: np.ndarray) -> np.ndarray:
@@ -67,13 +83,8 @@ def _hermitian_basis(structure: BlockStructure, cols: np.ndarray) -> np.ndarray:
     r = cols.shape[1]
     if r == 0:
         return cols
-    cands = []
-    for k in range(r):
-        v = cols[:, k]
-        w = adjoint_coords(structure, v)
-        cands.append(0.5 * (v + w))
-        cands.append(-0.5j * (v - w))
-    c = np.column_stack(cands)
+    w = _star(structure, cols)
+    c = np.stack([0.5 * (cols + w), -0.5j * (cols - w)], axis=-1).reshape(len(cols), 2 * r)
     real_rep = np.vstack([c.real, c.imag])
     u, s, _ = np.linalg.svd(real_rep, full_matrices=False)
     if s.size < r or s[r - 1] <= 1e-8 * s[0]:
@@ -97,13 +108,13 @@ class FixedSpace:
 
 
 @_cached_on_argument
-def fixed_space(family: SemigroupFamily, tol: float = FIXED_TOL) -> FixedSpace:
+def fixed_space(family: SemigroupFamily) -> FixedSpace:
     """Joint fixed space of the generators: intersection of ker(S_i - 1)."""
     st = family.structure
     d = st.coord_dim
     eye = np.eye(d)
     stacked = np.vstack([g.superop - eye for g in family.generators])
-    cols = nullspace(stacked, tol)
+    cols = nullspace(stacked, FIXED_TOL)
     cols = _hermitian_basis(st, cols)
     basis = tuple(element_from_coords(st, cols[:, k]) for k in range(cols.shape[1]))
     for b in basis:
@@ -118,39 +129,34 @@ class CStarSpan:
     """Orthonormal basis of the C*-algebra generated by a fixed space."""
 
     structure: BlockStructure
-    basis: tuple
     matrix: np.ndarray
     is_unital: bool
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return self.matrix.shape[1]
 
 
 @_cached_on_argument
 def cstar_closure(fs: FixedSpace) -> CStarSpan:
-    """Close the span under products (and adjoints) until it stabilizes."""
+    """Close the span under products (and adjoints) until it stabilizes.
+
+    Each round appends, for every ordered pair (a, b) of basis columns in
+    turn, the product ab and its adjoint, and re-orthonormalizes.
+    """
     st = fs.structure
     mat = fs.matrix
     if fs.dimension == 0:
-        return CStarSpan(st, (), mat, is_unital=False)
-    basis = list(fs.basis)
+        return CStarSpan(st, mat, is_unital=False)
     for _ in range(st.coord_dim + 1):
-        cands = [mat]
-        for a in basis:
-            for b in basis:
-                prod = a @ b
-                cands.append(prod.coords()[:, None])
-                cands.append(prod.adjoint().coords()[:, None])
-        new_mat = _orthonormal_columns(np.hstack(cands))
-        if new_mat.shape[1] == mat.shape[1]:
-            mat = new_mat
+        r = mat.shape[1]
+        prods = _product(st, np.repeat(mat, r, axis=1), np.tile(mat, r))
+        pairs = np.stack([prods, _star(st, prods)], axis=-1).reshape(st.coord_dim, 2 * r * r)
+        mat = _orthonormal_columns(np.hstack([mat, pairs]))
+        if mat.shape[1] == r:
             break
-        mat = new_mat
-        basis = [element_from_coords(st, mat[:, k]) for k in range(mat.shape[1])]
-    basis = tuple(element_from_coords(st, mat[:, k]) for k in range(mat.shape[1]))
     unit_gap = span_distance(mat, identity_element(st).coords())
-    return CStarSpan(st, basis, mat, is_unital=bool(unit_gap <= SPAN_TOL))
+    return CStarSpan(st, mat, is_unital=bool(unit_gap <= SPAN_TOL))
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,9 +298,9 @@ def _limit_iteration(theta: np.ndarray, v0: np.ndarray, tol: float, max_iter: in
 def phi_limit(
     family: SemigroupFamily,
     y: AlgebraElement,
-    tol: float = 1e-10,
-    max_iter: int = 10**5,
-    window: int = 5,
+    tol: float = STEP_TOL,
+    max_iter: int = MAX_ITER,
+    window: int = WINDOW,
 ) -> AlgebraElement:
     """Diagonal limit of phi_s(y); guaranteed to exist on C*(N^phi).
 
@@ -312,9 +318,9 @@ def phi_limit(
 def pi_limit(
     instance: DilationInstance,
     y: AlgebraElement,
-    tol: float = 1e-10,
-    max_iter: int = 10**5,
-    window: int = 5,
+    tol: float = STEP_TOL,
+    max_iter: int = MAX_ITER,
+    window: int = WINDOW,
     cstar: CStarSpan | None = None,
 ) -> AlgebraElement:
     """Diagonal limit of alpha_s(y) for y in C*(N^phi), landing in M^alpha."""
@@ -350,9 +356,7 @@ def lift_fixed_point(
     fs_ambient = fixed_space(instance.alpha)
     if fs_ambient.dimension == 0:
         raise NotFixed("ambient fixed space is trivial; nothing can compress to y")
-    comp_cols = np.column_stack(
-        [compress(instance.emb, b).coords() for b in fs_ambient.basis]
-    )
+    comp_cols = _compressed(instance.emb, fs_ambient.matrix)
     coeff, *_ = np.linalg.lstsq(comp_cols, y.coords(), rcond=None)
     resid = float(np.linalg.norm(comp_cols @ coeff - y.coords()))
     if resid > SPAN_TOL * max(1.0, y.norm()):
@@ -447,14 +451,13 @@ def kernel_ideal_check(
     cs: CStarSpan | None = None,
     erg: ErgodicProjection | None = None,
     seed: int = 0,
-    extra_generators: int = 8,
-    tol: float = SPAN_TOL,
 ) -> KernelIdealReport:
     """Compare ker(Phi) inside C*(N^phi) with the ideal its defects generate.
 
     The ideal is generated by x*x - Phi(x*x) over fixed-basis elements and
     random combinations, then grown by left and right multiplication with
-    C* basis elements until the span stabilizes.
+    C* basis elements until the span stabilizes.  Each round appends, for
+    every ideal column q and C* basis column bb in turn, bb q and q bb.
     """
     if fs is None:
         fs = fixed_space(family)
@@ -469,80 +472,31 @@ def kernel_ideal_check(
     restricted = b.conj().T @ rho @ b
     invariance = float(op_norm(rho @ b - b @ restricted))
     kernel_cols = nullspace(restricted, 1e-10)
+    st = cs.structure
     rng = np.random.default_rng(seed)
-    xs = list(fs.basis)
-    for _ in range(extra_generators):
-        xs.append(_combo(fs.matrix, fs.structure, rng))
-    gen_resid = 0.0
-    gens = []
-    for x in xs:
-        q = x.adjoint() @ x
-        g = erg.apply(q) - q
-        coeff = b.conj().T @ g.coords()
-        gen_resid = max(gen_resid, span_distance(b, g.coords()))
-        if np.linalg.norm(coeff) > 1e-10:
-            gens.append(coeff)
-    if not gens:
-        ideal = np.zeros((cs.dimension, 0))
-    else:
-        ideal = _orthonormal_columns(np.column_stack(gens))
-        for _ in range(cs.dimension + 1):
-            cands = [ideal]
-            for k in range(ideal.shape[1]):
-                q = element_from_coords(cs.structure, b @ ideal[:, k])
-                for bb in cs.basis:
-                    cands.append((b.conj().T @ (bb @ q).coords())[:, None])
-                    cands.append((b.conj().T @ (q @ bb).coords())[:, None])
-            grown = _orthonormal_columns(np.hstack(cands))
-            if grown.shape[1] == ideal.shape[1]:
-                ideal = grown
-                break
-            ideal = grown
-    gap = 0.0
-    for k in range(kernel_cols.shape[1]):
-        gap = max(gap, span_distance(ideal, kernel_cols[:, k]))
-    for k in range(ideal.shape[1]):
-        gap = max(gap, span_distance(kernel_cols, ideal[:, k]))
-    passed = kernel_cols.shape[1] == ideal.shape[1] and gap <= tol and invariance <= tol
+    x = np.hstack([fs.matrix, _combos(fs.matrix, rng.standard_normal((EXTRA_GENERATORS, 2, fs.dimension)))])
+    q = _product(st, _star(st, x), x)
+    gens = b.conj().T @ (rho @ q - q)
+    ideal = _orthonormal_columns(gens[:, np.linalg.norm(gens, axis=0) > 1e-10])
+    c = cs.dimension
+    for _ in range(c + 1):
+        k = ideal.shape[1]
+        q, bb = np.repeat(b @ ideal, c, axis=1), np.tile(b, k)
+        left, right = b.conj().T @ _product(st, bb, q), b.conj().T @ _product(st, q, bb)
+        cands = np.stack([left, right], axis=-1).reshape(c, 2 * k * c)
+        ideal = _orthonormal_columns(np.hstack([ideal, cands]))
+        if ideal.shape[1] == k:
+            break
+    gaps = np.concatenate([span_distance(ideal, kernel_cols), span_distance(kernel_cols, ideal)])
+    gap = float(np.max(gaps, initial=0.0))
+    passed = kernel_cols.shape[1] == ideal.shape[1] and gap <= SPAN_TOL and invariance <= SPAN_TOL
     return KernelIdealReport(
         int(kernel_cols.shape[1]), int(ideal.shape[1]), float(gap), invariance, bool(passed), seed
     )
 
 
-def _combo(matrix: np.ndarray, structure: BlockStructure, rng: np.random.Generator) -> AlgebraElement:
-    """Random normalized complex combination of orthonormal basis columns."""
-    c = random_complex(rng, matrix.shape[1], 1)[:, 0]
-    v = matrix @ c
-    n = np.linalg.norm(v)
-    return element_from_coords(structure, v / n if n > 0 else v)
-
-
-# Stacked samples.  A (D, S) coordinate block holds one element per column;
-# the property suite draws, multiplies and checks all of its samples at once.
-
-
-def _blocks(structure: BlockStructure, v: np.ndarray) -> list:
-    """The columns of a (D, S) coordinate block as one (S, n_i, n_i) array per block."""
-    s = v.shape[1]
-    return [v[sl].T.reshape(s, n, n) for n, sl in zip(structure.block_dims, structure.coord_slices())]
-
-
-def _coords(blocks) -> np.ndarray:
-    """The (D, S) coordinate block of one (S, n_i, n_i) array per block."""
-    return np.concatenate([b.reshape(b.shape[0], -1) for b in blocks], axis=1).T
-
-
-def _star(structure: BlockStructure, v: np.ndarray) -> np.ndarray:
-    return _coords([b.conj().swapaxes(-1, -2) for b in _blocks(structure, v)])
-
-
-def _product(structure: BlockStructure, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _coords([x @ y for x, y in zip(_blocks(structure, a), _blocks(structure, b))])
-
-
-def _norms(structure: BlockStructure, v: np.ndarray) -> np.ndarray:
-    """AlgebraElement.norm of every column: its largest block operator norm."""
-    return np.max([op_norm(b) for b in _blocks(structure, v)], axis=0)
+# Stacked samples.  The property suite draws, multiplies and checks all of
+# its samples at once, one element per column of a (D, S) coordinate block.
 
 
 def _psd_floor(structure: BlockStructure, vs) -> float:
@@ -555,29 +509,7 @@ def _psd_floor(structure: BlockStructure, vs) -> float:
     return worst
 
 
-def _combos(matrix: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """One _combo per sample, as columns, from the (S, 2, r) normals the S calls draw."""
-    v = matrix @ ((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)).T
-    n = np.linalg.norm(v, axis=0)
-    return v / np.where(n > 0, n, 1.0)
-
-
-def _compressed(emb, x: np.ndarray) -> np.ndarray:
-    """compress of every column of an ambient coordinate block."""
-    blocks = _blocks(emb.ambient, x)
-    return _coords([u.conj().T @ blocks[i] @ u for u, i in zip(emb.isometries, emb.kept)])
-
-
-def _injected(emb, y: np.ndarray) -> np.ndarray:
-    """inject of every column of a corner coordinate block."""
-    blocks = [np.zeros((y.shape[1], n, n), dtype=complex) for n in emb.ambient.block_dims]
-    for u, i, b in zip(emb.isometries, emb.kept, _blocks(emb.corner, y)):
-        blocks[i] = u @ b @ u.conj().T
-    return _coords(blocks)
-
-
-def _column_limits(family: SemigroupFamily, v: np.ndarray, stalled: str, tol: float = 1e-10,
-                   max_iter: int = 10**5, window: int = 5):
+def _column_limits(family: SemigroupFamily, v: np.ndarray, stalled: str):
     """phi_limit of every column of a (D, S) coordinate block at once.
 
     Each column follows the rule of _limit_iteration on its own increments,
@@ -589,32 +521,31 @@ def _column_limits(family: SemigroupFamily, v: np.ndarray, stalled: str, tol: fl
     v = np.array(v, dtype=complex)
     live = np.arange(v.shape[1])  # the columns still iterating, held compactly in w
     w, run, inc = v, np.zeros(live.size, dtype=int), np.full(live.size, np.inf)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if live.size == 0:
             break
         nxt = family.theta @ w
         inc = np.linalg.norm(nxt - w, axis=0)
         w = nxt
-        run = np.where(inc <= tol, run + 1, 0)
-        done = run >= window
+        run = np.where(inc <= STEP_TOL, run + 1, 0)
+        done = run >= WINDOW
         if done.any():
             v[:, live[done]] = w[:, done]
             live, w, run, inc = live[~done], w[:, ~done], run[~done], inc[~done]
     st = family.structure
-    bound = 10.0 * tol * np.maximum(1.0, _norms(st, v))
+    bound = 10.0 * STEP_TOL * np.maximum(1.0, _norms(st, v))
     off = np.zeros(v.shape[1], dtype=bool)
     for gen in family.generators:
         off |= _norms(st, gen.superop @ v - v) > bound
     errors = [Divergent(stalled) if o else None for o in off]
     for j, last in zip(live, inc):
-        errors[j] = Divergent(f"no Cauchy window of {window} after {max_iter} steps (last increment {last:g})")
+        errors[j] = Divergent(f"no Cauchy window of {WINDOW} after {MAX_ITER} steps (last increment {last:g})")
     return v, errors
 
 
 def _pi_limits(instance: DilationInstance, y: np.ndarray):
     """pi_limit of every column of a corner coordinate block: the limits and, per column, its error or None."""
-    cstar = cstar_closure(fixed_space(instance.phi)).matrix
-    gaps = np.linalg.norm(y - cstar @ (cstar.conj().T @ y), axis=0)
+    gaps = span_distance(cstar_closure(fixed_space(instance.phi)).matrix, y)
     outside = gaps > SPAN_TOL * np.maximum(1.0, _norms(instance.emb.corner, y))
     errors = [
         NotInCStar(f"element is {gap:g} away from C*(N^phi); limit not guaranteed") if out else None
@@ -649,15 +580,6 @@ class ItemResult:
     def passed(self) -> bool:
         return self.status == "PASS"
 
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "worst": self.worst,
-            "threshold": self.threshold,
-            "count": self.count,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class SuiteReport:
@@ -668,14 +590,6 @@ class SuiteReport:
     @property
     def passed(self) -> bool:
         return all(item.passed for item in self.items.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "samples": self.samples,
-            "passed": self.passed,
-            "items": {k: v.to_dict() for k, v in self.items.items()},
-        }
 
 
 def _lifting_item(structure, residuals, errors, threshold, samples, note) -> ItemResult:
@@ -696,9 +610,6 @@ def property_suite(
     s_max: int = 10,
     psd_floor: float = 1e-9,
     tol_eq: float = 1e-8,
-    lim_tol: float = 1e-7,
-    ce_tol: float = 1e-9,
-    vec_tol: float = 1e-9,
 ) -> SuiteReport:
     """Run the proof-ingredient identities and report residuals per item.
 
@@ -710,8 +621,9 @@ def property_suite(
 
     Each item draws its samples in the order and with the numbers of one
     draw per sample, and works on them as one (D, S) coordinate block.
-    rho is the one already built for the family, say by a report at its
-    config's tolerance, or else the one at the default settings.
+    rho, and the minimality verdict of a DilationInstance, are the ones
+    already built, say by a report at its config's tolerances, or else the
+    ones at the default settings.
     """
     instance = obj if isinstance(obj, DilationInstance) else None
     family = instance.phi if instance is not None else obj
@@ -724,8 +636,7 @@ def property_suite(
     erg = None
     erg_error = ""
     try:
-        built = ergodic_projection.built(family)
-        erg = built[0] if built else ergodic_projection(family)
+        erg = ergodic_projection.built_or_default(family)
     except CpfixError as exc:
         erg_error = str(exc)
     rho = None if erg is None else erg.matrix
@@ -770,9 +681,9 @@ def property_suite(
 
     # Diagonal limit of phi_s(x*x) exists and matches the mean projection.
     if trivial:
-        items["limit_vs_mean"] = ItemResult("PASS", 0.0, lim_tol, 0, note="trivial fixed space")
+        items["limit_vs_mean"] = ItemResult("PASS", 0.0, LIMIT_TOL, 0, note="trivial fixed space")
     elif erg is None:
-        items["limit_vs_mean"] = ItemResult("FAIL", np.inf, lim_tol, 0, note=erg_error)
+        items["limit_vs_mean"] = ItemResult("FAIL", np.inf, LIMIT_TOL, 0, note=erg_error)
     else:
         x = _combos(fs.matrix, rng.standard_normal((samples, 2, fs.dimension)))
         q = _product(st, _star(st, x), x)
@@ -781,14 +692,14 @@ def property_suite(
         failed = [err for err in errors if err is not None]
         worst = float(np.max(_norms(st, (lims - rho @ q)[:, converged]), initial=0.0))
         note = f"divergent on {len(failed)} samples: {failed[-1]}" if failed else ""
-        status = "PASS" if not failed and worst <= lim_tol else "FAIL"
-        items["limit_vs_mean"] = ItemResult(status, worst, lim_tol, samples, note=note)
+        status = "PASS" if not failed and worst <= LIMIT_TOL else "FAIL"
+        items["limit_vs_mean"] = ItemResult(status, worst, LIMIT_TOL, samples, note=note)
 
     # Choi-Effros identity for the idempotent Phi on C*(N^phi).
     if cs.dimension == 0:
-        items["choi_effros"] = ItemResult("PASS", 0.0, ce_tol, 0, note="trivial fixed space")
+        items["choi_effros"] = ItemResult("PASS", 0.0, CHOI_EFFROS_TOL, 0, note="trivial fixed space")
     elif erg is None:
-        items["choi_effros"] = ItemResult("FAIL", np.inf, ce_tol, 0, note=erg_error)
+        items["choi_effros"] = ItemResult("FAIL", np.inf, CHOI_EFFROS_TOL, 0, note=erg_error)
     else:
         # x and y are drawn alternately, one pair per sample
         g = rng.standard_normal((samples, 2, 2, cs.dimension))
@@ -797,14 +708,14 @@ def property_suite(
         gap = rho @ _product(st, a, y) - rho @ _product(st, a, rho @ y)
         worst = float(np.max(_norms(st, gap), initial=0.0))
         items["choi_effros"] = ItemResult(
-            "PASS" if worst <= ce_tol else "FAIL", worst, ce_tol, samples
+            "PASS" if worst <= CHOI_EFFROS_TOL else "FAIL", worst, CHOI_EFFROS_TOL, samples
         )
 
     # Vector inequality ||phi_s(a y^{1/2}) h||^2 <= ||a||^2 (phi_s(y) h, h).
     if trivial:
-        items["vector_bound"] = ItemResult("PASS", 0.0, vec_tol, 0, note="trivial fixed space")
+        items["vector_bound"] = ItemResult("PASS", 0.0, VECTOR_TOL, 0, note="trivial fixed space")
     elif erg is None:
-        items["vector_bound"] = ItemResult("FAIL", np.inf, vec_tol, 0, note=erg_error)
+        items["vector_bound"] = ItemResult("FAIL", np.inf, VECTOR_TOL, 0, note=erg_error)
     else:
         # normals and rng.integers interleave, so the draws stay one sample at a time
         gx = np.empty((samples, 2, fs.dimension))
@@ -838,11 +749,11 @@ def property_suite(
         worst = float(np.max(lhs - _norms(st, a) ** 2 * form, initial=-np.inf))
         worst = 0.0 if not np.isfinite(worst) else worst
         items["vector_bound"] = ItemResult(
-            "PASS" if worst <= vec_tol else "FAIL", worst, vec_tol, samples
+            "PASS" if worst <= VECTOR_TOL else "FAIL", worst, VECTOR_TOL, samples
         )
 
     if instance is not None:
-        verdict = check_minimality(instance.alpha, instance.p)
+        verdict = check_minimality.built_or_default(instance.alpha, instance.p)
         minimal = verdict.status is Minimality.MINIMAL
         note = "" if minimal else "minimality not established; lifting identity expected to fail"
         fs_ambient = fixed_space(instance.alpha)
@@ -857,11 +768,11 @@ def property_suite(
         if cs.dimension == 0 or erg is None:
             note2 = "trivial fixed space" if cs.dimension == 0 else erg_error
             status = "PASS" if cs.dimension == 0 else "FAIL"
-            items["factorization"] = ItemResult(status, 0.0, lim_tol, 0, note=note2)
+            items["factorization"] = ItemResult(status, 0.0, LIMIT_TOL, 0, note=note2)
         else:
             y = _combos(cs.matrix, rng.standard_normal((samples, 2, cs.dimension)))
             z, errors = _pi_limits(instance, y)
             residuals = _compressed(instance.emb, z) - rho @ y
-            items["factorization"] = _lifting_item(st, residuals, errors, lim_tol, samples, note)
+            items["factorization"] = _lifting_item(st, residuals, errors, LIMIT_TOL, samples, note)
 
     return SuiteReport(items, seed, samples)

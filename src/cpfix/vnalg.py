@@ -8,7 +8,10 @@ the compression E(x) = pxp, and stacked matrix amplifications in M_k(M).
 Coordinates: an element is identified with the concatenation of its
 row-major flattened blocks, a vector in C^D with D = sum(n_i^2).  The
 trace inner product <x, y> = sum_i tr(x_i* y_i) then coincides with the
-standard Hermitian inner product of coordinate vectors.
+standard Hermitian inner product of coordinate vectors.  A (D, S)
+coordinate block holds S elements as columns.  The block kernels below
+(adjoint, product, norm, compression, injection) act on all S at once,
+so no other module needs to know the layout.
 """
 
 from __future__ import annotations
@@ -117,9 +120,6 @@ class AlgebraElement:
     def coords(self) -> np.ndarray:
         return np.concatenate([b.ravel() for b in self.blocks])
 
-    def distance(self, other: "AlgebraElement") -> float:
-        return (self - other).norm()
-
     def _same(self, other: "AlgebraElement"):
         if self.structure != other.structure:
             raise ShapeMismatch("elements live on different block structures")
@@ -127,10 +127,6 @@ class AlgebraElement:
 
 def identity_element(structure: BlockStructure) -> AlgebraElement:
     return AlgebraElement(structure, tuple(np.eye(n, dtype=complex) for n in structure.block_dims))
-
-
-def zero_element(structure: BlockStructure) -> AlgebraElement:
-    return AlgebraElement(structure, tuple(np.zeros((n, n), dtype=complex) for n in structure.block_dims))
 
 
 def element_from_coords(structure: BlockStructure, v: np.ndarray) -> AlgebraElement:
@@ -148,11 +144,6 @@ def random_element(structure: BlockStructure, rng: np.random.Generator, hermitia
     for n in structure.block_dims:
         blocks.append(random_hermitian(rng, n) if hermitian else random_complex(rng, n, n))
     return AlgebraElement(structure, tuple(blocks))
-
-
-def adjoint_coords(structure: BlockStructure, v: np.ndarray) -> np.ndarray:
-    """Coordinates of x* given coordinates of x."""
-    return element_from_coords(structure, v).adjoint().coords()
 
 
 def embed(x: AlgebraElement) -> np.ndarray:
@@ -258,6 +249,61 @@ def inject(emb: CornerEmbedding, y: AlgebraElement) -> AlgebraElement:
     for u, i, b in zip(emb.isometries, emb.kept, y.blocks):
         blocks[i] = u @ b @ u.conj().T
     return AlgebraElement(emb.ambient, tuple(blocks))
+
+
+# Coordinate blocks.  A (D, S) array holds one element per column, in the
+# coordinates above; these kernels work on all S elements at once.
+
+
+def _blocks(structure: BlockStructure, v: np.ndarray) -> list:
+    """The columns of a (D, S) coordinate block as one (S, n_i, n_i) array per block."""
+    s = v.shape[1]
+    return [v[sl].T.reshape(s, n, n) for n, sl in zip(structure.block_dims, structure.coord_slices())]
+
+
+def _coords(blocks) -> np.ndarray:
+    """The (D, S) coordinate block of one (S, n_i, n_i) array per block."""
+    return np.concatenate([b.reshape(b.shape[0], b.shape[1] * b.shape[2]) for b in blocks], axis=1).T
+
+
+def _star(structure: BlockStructure, v: np.ndarray) -> np.ndarray:
+    """The adjoint of every column."""
+    return _coords([b.conj().swapaxes(-1, -2) for b in _blocks(structure, v)])
+
+
+def _product(structure: BlockStructure, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product of every column of a with the same column of b."""
+    return _coords([x @ y for x, y in zip(_blocks(structure, a), _blocks(structure, b))])
+
+
+def _norms(structure: BlockStructure, v: np.ndarray) -> np.ndarray:
+    """AlgebraElement.norm of every column: its largest block operator norm."""
+    return np.max([op_norm(b) for b in _blocks(structure, v)], axis=0)
+
+
+def _combos(matrix: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Normalized complex combinations of the columns of matrix, one per sample.
+
+    g holds S samples of (real, imaginary) normals of shape (2, r), the
+    numbers that random_complex(rng, r, 1) draws once per sample.
+    """
+    v = matrix @ ((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)).T
+    n = np.linalg.norm(v, axis=0)
+    return v / np.where(n > 0, n, 1.0)
+
+
+def _compressed(emb: CornerEmbedding, x: np.ndarray) -> np.ndarray:
+    """compress of every column of an ambient coordinate block."""
+    blocks = _blocks(emb.ambient, x)
+    return _coords([u.conj().T @ blocks[i] @ u for u, i in zip(emb.isometries, emb.kept)])
+
+
+def _injected(emb: CornerEmbedding, y: np.ndarray) -> np.ndarray:
+    """inject of every column of a corner coordinate block."""
+    blocks = [np.zeros((y.shape[1], n, n), dtype=complex) for n in emb.ambient.block_dims]
+    for u, i, b in zip(emb.isometries, emb.kept, _blocks(emb.corner, y)):
+        blocks[i] = u @ b @ u.conj().T
+    return _coords(blocks)
 
 
 def amplify_combination(coeffs, elements) -> tuple:

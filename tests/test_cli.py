@@ -225,6 +225,18 @@ def test_suite_checks_the_reports_rho(tmp_path, monkeypatch):
     assert rep["exit_code"] == 0
 
 
+def test_suite_reuses_the_reports_minimality_verdict(tmp_path, monkeypatch):
+    path = tmp_path / "dilation.json"
+    data = cmd_demo("random-dilation", {"seed": "4", "d": "2"}, str(path))
+    data["config"]["minimality_tol"] = 1e-9
+    path.write_text(json.dumps(data))
+    counts = count_calls(monkeypatch, ("dilation.MinimalityResult",))
+    rep = cmd_dilation(str(path))
+    # the minimality row and the suite's lifting items share the verdict built at the config's tolerance
+    assert counts["dilation.MinimalityResult"] == 1
+    assert rep["exit_code"] == 0
+
+
 def test_unknown_demo_family(tmp_path):
     with pytest.raises(UnknownFamily):
         cmd_demo("free-semigroup", {}, str(tmp_path / "x.json"))

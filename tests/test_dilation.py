@@ -94,16 +94,60 @@ def test_minimality_requires_coinvariance():
         check_minimality(alpha, p)
 
 
-def test_minimality_monotone_defects():
-    from cpfix.cpsemi import diag_step
+def kraus_diag_step(family, x):
+    """One diagonal step in Kraus form: every generator applied once."""
+    for gen in family.generators:
+        x = apply(gen, x)
+    return x
 
+
+def test_minimality_monotone_defects():
     for seed in (42, 43):
         inst = build_random_instance(seed, n_max=3, m_max=4, d=1 + seed % 2)
         prev = identity_element(inst.structure) - inst.p
         for _ in range(5):
-            nxt = diag_step(inst.alpha, prev)
+            nxt = kraus_diag_step(inst.alpha, prev)
             assert all(is_psd(b, 1e-9) for b in (prev - nxt).blocks)
             prev = nxt
+
+
+def looped_minimality(alpha, p, tol=1e-10, max_iter=10000):
+    """check_minimality one element at a time: (status, steps, final_defect_norm, limit)."""
+    defect = identity_element(alpha.structure) - p
+    for n in range(max_iter):
+        if defect.norm() <= 10.0 * tol:
+            return Minimality.MINIMAL, n, defect.norm(), None
+        nxt = kraus_diag_step(alpha, defect)
+        if (nxt - defect).norm() <= tol:
+            if nxt.norm() <= 10.0 * tol:
+                return Minimality.MINIMAL, n + 1, nxt.norm(), None
+            if (kraus_diag_step(alpha, nxt) - nxt).norm() <= 10.0 * tol:
+                return Minimality.NON_MINIMAL, n + 1, nxt.norm(), nxt
+        defect = nxt
+    return Minimality.UNDETERMINED, max_iter, defect.norm(), defect
+
+
+def test_minimality_matches_looped_reference():
+    st = BlockStructure((2, 2))
+    identity = make_family([identity_map(st)], expect_endomorphic=True)
+    half = AlgebraElement(st, (np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)))
+    tail = build_tail_shift(2, 3, np.diag([1.0, np.exp(0.9j)]))
+    cases = [(identity, half, {}), (tail.alpha, tail.p, {}), (tail.alpha, tail.p, {"max_iter": 2})]
+    # with d = 2 the second generator is a global conjugation (seed 5) or that conjugation after the shift (seed 4)
+    for seed, d in ((4, 2), (5, 2), (11, 2), (42, 1)):
+        inst = build_random_instance(seed, n_max=3, m_max=4, d=d)
+        cases.append((inst.alpha, inst.p, {}))
+    statuses = set()
+    for alpha, p, kwargs in cases:
+        res = check_minimality(alpha, p, **kwargs)
+        status, steps, norm, limit = looped_minimality(alpha, p, **kwargs)
+        assert (res.status, res.steps) == (status, steps)
+        assert abs(res.final_defect_norm - norm) <= 1e-12
+        assert (res.limit is None) == (limit is None)
+        if limit is not None:
+            assert (res.limit - limit).norm() <= 1e-12
+        statuses.add(status)
+    assert statuses == set(Minimality)
 
 
 def test_compress_full_projection_is_identity_compression():

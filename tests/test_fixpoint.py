@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpfix.errors import CpfixError, Divergent, NotContractive, NotFixed, NotInCStar
-from cpfix.matcore import op_norm, psd_sqrt, random_complex, random_unit_vector, random_unitary
+from cpfix.matcore import nullspace, op_norm, psd_sqrt, random_complex, random_unit_vector, random_unitary
 from cpfix.vnalg import (
     AlgebraElement,
     BlockStructure,
@@ -36,7 +36,7 @@ from cpfix.dilation import (
 )
 from cpfix.fixpoint import (
     FixedSpace,
-    _combo,
+    _orthonormal_columns,
     check_complete_isometry,
     cstar_closure,
     ergodic_projection,
@@ -50,6 +50,13 @@ from cpfix.fixpoint import (
 
 M2 = BlockStructure((2,))
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def combo(matrix, structure, rng):
+    """Random normalized complex combination of orthonormal basis columns: one random_complex draw."""
+    v = matrix @ random_complex(rng, matrix.shape[1], 1)[:, 0]
+    n = np.linalg.norm(v)
+    return element_from_coords(structure, v / n if n > 0 else v)
 
 
 def unit(a, b):
@@ -105,8 +112,9 @@ def test_cstar_closure_generates_identity():
 
 def test_cstar_closure_product_containment():
     cs = cstar_closure(fixed_space(mixture_family(5, dims=(3,), terms=2)))
-    for a in cs.basis:
-        for b in cs.basis:
+    basis = [element_from_coords(cs.structure, col) for col in cs.matrix.T]
+    for a in basis:
+        for b in basis:
             coords = (a @ b).coords()
             proj = cs.matrix @ (cs.matrix.conj().T @ coords)
             assert np.linalg.norm(coords - proj) < 1e-8
@@ -327,6 +335,116 @@ def test_kernel_ideal_leaky_nontrivial():
     assert rep.dim_kernel == rep.dim_ideal == 1
 
 
+def looped_cstar_closure(fs):
+    """cstar_closure one element at a time: (basis matrix, is_unital)."""
+    st, mat = fs.structure, fs.matrix
+    if fs.dimension == 0:
+        return mat, False
+    for _ in range(st.coord_dim + 1):
+        basis = [element_from_coords(st, col) for col in mat.T]
+        cands = [mat]
+        for a in basis:
+            for b in basis:
+                prod = a @ b
+                cands += [prod.coords()[:, None], prod.adjoint().coords()[:, None]]
+        grown = _orthonormal_columns(np.hstack(cands))
+        if grown.shape[1] == mat.shape[1]:
+            mat = grown
+            break
+        mat = grown
+    one = identity_element(st).coords()
+    return mat, bool(np.linalg.norm(one - mat @ (mat.conj().T @ one)) <= 1e-8)
+
+
+def looped_kernel_ideal(family, rng):
+    """kernel_ideal_check one element at a time: (dim_kernel, dim_ideal, gap, invariance, passed)."""
+    fs = fixed_space(family)
+    cs = cstar_closure(fs)
+    erg = ergodic_projection(family)
+    if cs.dimension == 0:
+        return 0, 0, 0.0, 0.0, True
+    b, st = cs.matrix, cs.structure
+    restricted = b.conj().T @ erg.matrix @ b
+    invariance = op_norm(erg.matrix @ b - b @ restricted)
+    kernel = nullspace(restricted, 1e-10)
+    gens = []
+    for x in list(fs.basis) + [combo(fs.matrix, st, rng) for _ in range(8)]:
+        q = x.adjoint() @ x
+        coeff = b.conj().T @ (erg.apply(q) - q).coords()
+        if np.linalg.norm(coeff) > 1e-10:
+            gens.append(coeff)
+    ideal = _orthonormal_columns(np.column_stack(gens)) if gens else np.zeros((cs.dimension, 0))
+    cs_basis = [element_from_coords(st, col) for col in b.T]
+    for _ in range(cs.dimension + 1):
+        cands = [ideal]
+        for k in range(ideal.shape[1]):
+            q = element_from_coords(st, b @ ideal[:, k])
+            for bb in cs_basis:
+                cands += [(b.conj().T @ (bb @ q).coords())[:, None], (b.conj().T @ (q @ bb).coords())[:, None]]
+        grown = _orthonormal_columns(np.hstack(cands))
+        if grown.shape[1] == ideal.shape[1]:
+            ideal = grown
+            break
+        ideal = grown
+    gap = 0.0
+    for span, other in ((ideal, kernel), (kernel, ideal)):
+        for v in other.T:
+            gap = max(gap, float(np.linalg.norm(v - span @ (span.conj().T @ v))))
+    passed = kernel.shape[1] == ideal.shape[1] and gap <= 1e-8 and invariance <= 1e-8
+    return kernel.shape[1], ideal.shape[1], gap, invariance, passed
+
+
+def oracle_families():
+    """Mixtures (d = 1, 2), leaky dampings, and the corners of tail-shift, random and non-minimal dilations."""
+    yield from (mixture_family(seed, dims=(2, 3), terms=3, d=d) for seed in (1, 4) for d in (1, 2))
+    # phase collisions: fixed spaces of dimension 9 and 7, beyond the diagonal
+    yield from (mixture_family(25, dims=(2, 3), terms=1, d=d) for d in (1, 2))
+    leaky = leaky_damping_family(0.6, 0.5)
+    yield leaky
+    # leaky damping on the first factor of M_2 (x) M_2: a 4-dimensional kernel in a noncommutative algebra
+    m4 = BlockStructure((4,))
+    yield make_family([cp_map(m4, m4, {(0, 0): [np.kron(a, np.eye(2)) for a in leaky.generators[0].ops(0, 0)]})])
+    yield build_tail_shift(2, 3, np.diag([1.0, np.exp(0.9j)])).phi
+    yield from (build_random_instance(seed, n_max=3, m_max=4, d=2).phi for seed in (4, 11))
+    yield nonminimal_identity_instance().phi
+
+
+def projector(mat):
+    return mat @ mat.conj().T
+
+
+def test_cstar_closure_matches_looped_reference():
+    x = AlgebraElement(M2, (PAULI_X / np.sqrt(2.0),))  # generates the identity
+    e00 = unit(0, 0)  # generates a non-unital algebra
+    spans = [FixedSpace(M2, (y,), y.coords()[:, None]) for y in (x, e00)]
+    grown, unital = [], []
+    for fs in spans + [fixed_space(family) for family in oracle_families()]:
+        cs = cstar_closure(fs)
+        mat, is_unital = looped_cstar_closure(fs)
+        assert (cs.dimension, cs.is_unital) == (mat.shape[1], is_unital)
+        grown.append(cs.dimension > fs.dimension)
+        unital.append(is_unital)
+        assert np.max(np.abs(projector(cs.matrix) - projector(mat)), initial=0.0) <= 1e-12
+        # the suite draws its combinations from these columns, so they must agree too
+        assert np.max(np.abs(cs.matrix - mat), initial=0.0) <= 1e-12
+    assert any(grown) and set(unital) == {False, True}
+
+
+def test_kernel_ideal_matches_looped_reference():
+    kernels = []
+    for idx, family in enumerate(oracle_families()):
+        # default_rng passes a Generator through, so each state after the run shows what was drawn
+        rng, looped_rng = np.random.default_rng(idx), np.random.default_rng(idx)
+        rep = kernel_ideal_check(family, seed=rng)
+        dim_kernel, dim_ideal, gap, invariance, passed = looped_kernel_ideal(family, looped_rng)
+        assert (rep.dim_kernel, rep.dim_ideal, rep.passed) == (dim_kernel, dim_ideal, passed)
+        assert abs(rep.max_subspace_gap - gap) <= 1e-12
+        assert abs(rep.rho_invariance_residual - invariance) <= 1e-12
+        assert rng.bit_generator.state == looped_rng.bit_generator.state
+        kernels.append(dim_kernel)
+    assert {1, 4} <= set(kernels)
+
+
 def test_property_suite_identity_zero_residuals():
     rep = property_suite(identity_family(M2), seed=0, samples=20)
     assert rep.passed
@@ -357,6 +475,15 @@ def test_property_suite_flags_nonminimal_lift():
     # the bare-family identities hold without minimality
     assert rep.items["factorization"].status == "PASS"
     assert rep.items["limit_vs_mean"].status == "PASS"
+
+
+def test_property_suite_takes_the_verdict_of_its_own_projection():
+    # one family, two projections: the verdict built for the other projection is not the suite's
+    nonminimal = nonminimal_identity_instance()
+    full = make_instance(nonminimal.alpha, identity_element(nonminimal.structure))
+    assert check_minimality(nonminimal.alpha, nonminimal.p).status is Minimality.NON_MINIMAL
+    lift = property_suite(full, seed=0, samples=5).items["lift_identity"]
+    assert lift.passed and lift.note == ""
 
 
 def test_property_suite_trivial_fixed_space():
@@ -409,7 +536,7 @@ def looped_suite(obj, rng, samples, mono_steps=10, s_max=10):
 
     worst = np.inf
     for _ in range(samples):
-        x = _combo(fs.matrix, st, rng)
+        x = combo(fs.matrix, st, rng)
         y = x.adjoint() @ x
         for _ in range(mono_steps):
             for gen in family.generators:
@@ -420,7 +547,7 @@ def looped_suite(obj, rng, samples, mono_steps=10, s_max=10):
 
     worst, failures, note = 0.0, 0, ""
     for _ in range(samples):
-        x = _combo(fs.matrix, st, rng)
+        x = combo(fs.matrix, st, rng)
         q = x.adjoint() @ x
         try:
             worst = max(worst, (phi_limit(family, q) - erg.apply(q)).norm())
@@ -431,19 +558,19 @@ def looped_suite(obj, rng, samples, mono_steps=10, s_max=10):
 
     worst = 0.0
     for _ in range(samples):
-        x = _combo(cs.matrix, st, rng)
-        y = _combo(cs.matrix, st, rng)
+        x = combo(cs.matrix, st, rng)
+        y = combo(cs.matrix, st, rng)
         a = erg.apply(x)
         worst = max(worst, (erg.apply(a @ y) - erg.apply(a @ erg.apply(y))).norm())
     items["choi_effros"] = ("PASS" if worst <= 1e-9 else "FAIL", worst, samples, "")
 
     worst = -np.inf
     for _ in range(samples):
-        x = _combo(fs.matrix, st, rng)
+        x = combo(fs.matrix, st, rng)
         q = x.adjoint() @ x
         y = erg.apply(q) - q
         root = AlgebraElement(st, tuple(psd_sqrt(b, tol=1e-8) for b in y.blocks))
-        a = _combo(cs.matrix, st, rng)
+        a = combo(cs.matrix, st, rng)
         h = random_unit_vector(rng, st.space_dim)
         s = tuple(int(v) for v in rng.integers(0, s_max + 1, size=family.rank))
         lhs = np.linalg.norm(embed(apply_power(family, s, a @ root)) @ h) ** 2
@@ -462,7 +589,7 @@ def looped_suite(obj, rng, samples, mono_steps=10, s_max=10):
         ):
             worst, note = 0.0, base
             for _ in range(samples):
-                x = _combo(basis, structure, rng)
+                x = combo(basis, structure, rng)
                 try:
                     if key == "lift_identity":
                         residual = pi_limit(instance, compress(instance.emb, x)) - x

@@ -15,7 +15,6 @@ from cpfix.vnalg import (
     inject,
     random_element,
     validate_projection,
-    zero_element,
 )
 
 M2_M1 = BlockStructure((2, 1))
@@ -180,7 +179,7 @@ def test_validate_projection_rejects():
 def test_zero_projection_rejected():
     st = BlockStructure((2,))
     with pytest.raises(NotProjection):
-        corner(st, zero_element(st))
+        corner(st, elem(st, np.zeros((2, 2))))
 
 
 def test_shape_mismatch():
