@@ -50,6 +50,7 @@ from .dilation import (
     tail_shift_map,
 )
 from .fixpoint import (
+    MAX_ITER,
     cstar_closure,
     check_complete_isometry,
     ergodic_projection,
@@ -71,14 +72,13 @@ class Config:
     tol_eq: float = 1e-8
     convergence_tol: float = 1e-10
     psd_floor: float = 1e-9
-    max_iter: int = 10**5
+    max_iter: int = MAX_ITER
     cesaro_cap: int = 10**6
     levels: int = 3
     samples: int = 100
     seed: int = 0
     minimality_tol: float = 1e-10
     minimality_max_iter: int = 10000
-    window: int = 5
     mono_steps: int = 10
     s_max: int = 10
 
@@ -387,7 +387,7 @@ def _run_phi_limit_task(task: dict, family: SemigroupFamily, cfg: Config) -> dic
     name = f"task:{task['name']}"
     x = decode_element(family.structure, task["element"], task["name"])
     try:
-        result = phi_limit(family, x, tol=cfg.convergence_tol, max_iter=cfg.max_iter, window=cfg.window)
+        result = phi_limit(family, x, tol=cfg.convergence_tol, max_iter=cfg.max_iter)
         outcome = "converges"
         resid = {"limit_norm": result.norm()}
     except Divergent as exc:
@@ -431,7 +431,7 @@ def cmd_analyze(path: str, overrides: dict | None = None) -> dict:
         erg = None
         entries.append(entry("ergodic_projection", "ERROR", {}, str(exc)))
     if erg is not None:
-        krep = kernel_ideal_check(family, erg=erg, seed=cfg.seed)
+        krep = kernel_ideal_check(family, seed=cfg.seed)
         entries.append(
             entry(
                 "kernel_ideal",
@@ -511,8 +511,8 @@ def cmd_dilation(path: str, overrides: dict | None = None) -> dict:
         )
     )
     try:
-        erg = ergodic_projection(instance.phi, tol=cfg.convergence_tol, cesaro_cap=cfg.cesaro_cap)
-        krep = kernel_ideal_check(instance.phi, erg=erg, seed=cfg.seed)
+        ergodic_projection(instance.phi, tol=cfg.convergence_tol, cesaro_cap=cfg.cesaro_cap)
+        krep = kernel_ideal_check(instance.phi, seed=cfg.seed)
         entries.append(
             entry(
                 "kernel_ideal",
@@ -542,7 +542,7 @@ def cmd_dilation(path: str, overrides: dict | None = None) -> dict:
         y = decode_element(instance.emb.corner, task["element"], task["name"])
         try:
             if task["op"] == "pi_limit":
-                w = pi_limit(instance, y, tol=cfg.convergence_tol, max_iter=cfg.max_iter, window=cfg.window)
+                w = pi_limit(instance, y, tol=cfg.convergence_tol, max_iter=cfg.max_iter)
                 entries.append(entry(name, "PASS", {"limit_norm": w.norm()}, "outcome: converges"))
             else:
                 z = lift_fixed_point(instance, y, tol=cfg.convergence_tol)

@@ -287,6 +287,13 @@ class SemigroupFamily:
         theta.flags.writeable = False
         return theta
 
+    def theta_square(self, k: int) -> np.ndarray:
+        """theta^(2^k), by repeated squaring; every square is kept on the family."""
+        squares = vars(self).setdefault("_theta_squares", [self.theta])
+        while len(squares) <= k:
+            squares.append(squares[-1] @ squares[-1])
+        return squares[k]
+
 
 @dataclass(frozen=True)
 class FamilyReport:

@@ -46,11 +46,10 @@ from .dilation import DilationInstance, Minimality, check_minimality
 
 FIXED_TOL = 1e-10
 SPAN_TOL = 1e-8
-# the stopping rule of the diagonal limits: `WINDOW` consecutive increments
-# below `STEP_TOL` within `MAX_ITER` steps
+# the diagonal limits stop at the first increment below `STEP_TOL`, within
+# `MAX_ITER.bit_length()` squarings of theta, that is 2^20 - 1 steps
 STEP_TOL = 1e-10
-MAX_ITER = 10**5
-WINDOW = 5
+MAX_ITER = 10**6
 # property-suite thresholds no report sets
 LIMIT_TOL = 1e-7  # limit_vs_mean and factorization
 CHOI_EFFROS_TOL = 1e-9
@@ -277,22 +276,47 @@ def ergodic_projection(
     return ErgodicProjection(st, rho, diagnostics)
 
 
-def _limit_iteration(theta: np.ndarray, v0: np.ndarray, tol: float, max_iter: int, window: int):
-    """Iterate v <- theta v until `window` consecutive small increments."""
-    v = v0
-    consecutive = 0
-    inc = float("inf")
-    for n in range(1, max_iter + 1):
-        nxt = theta @ v
-        inc = float(np.linalg.norm(nxt - v))
-        v = nxt
-        if inc <= tol:
-            consecutive += 1
-            if consecutive >= window:
-                return v, n
-        else:
-            consecutive = 0
-    raise Divergent(f"no Cauchy window of {window} after {max_iter} steps (last increment {inc:g})")
+def _diagonal_limits(family: SemigroupFamily, v: np.ndarray, stalled: str, tol=STEP_TOL, max_iter=MAX_ITER):
+    """lim_s beta_s of every column of a (D, S) coordinate block, by repeated squaring of theta.
+
+    Doubling k steps each live column by theta^(2^k), so after k doublings
+    it has taken 2^k - 1 steps.  A column stops at its first increment
+    <= tol, which bounds its remaining error without a 1/gap factor, and
+    diverges if within max_iter.bit_length() doublings it never stops or
+    its increment overflows.  Every limit then gets the check that each
+    generator fixes it.  Returns the limits and, per column, a Divergent
+    (with message `stalled` for a failed check) or None.
+    """
+    v = np.array(v, dtype=complex)
+    live = np.arange(v.shape[1])  # the columns still iterating, held compactly in w
+    w, last = v, np.full(v.shape[1], np.inf)
+    doublings = max_iter.bit_length()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(doublings):
+            if live.size == 0:
+                break
+            nxt = family.theta_square(k) @ w
+            inc = np.linalg.norm(nxt - w, axis=0)
+            w = nxt
+            last[live] = inc
+            done = inc <= tol
+            v[:, live[done]] = w[:, done]
+            going = ~done & np.isfinite(inc)
+            live, w = live[going], w[:, going]
+    bound = 10.0 * tol * np.maximum(1.0, _norms(family.structure, v))
+    off = np.any([_norms(family.structure, gen.superop @ v - v) > bound for gen in family.generators], axis=0)
+    errors = [Divergent(stalled) if o else None for o in off]
+    for j in np.flatnonzero(~(last <= tol)):
+        errors[j] = Divergent(f"no convergence within {2**doublings - 1} steps (last increment {last[j]:g})")
+    return v, errors
+
+
+def _limit(family: SemigroupFamily, x: AlgebraElement, stalled: str, tol: float, max_iter: int) -> AlgebraElement:
+    """The diagonal limit of one element, or the Divergent of its column."""
+    v, (error,) = _diagonal_limits(family, x.coords()[:, None], stalled, tol, max_iter)
+    if error is not None:
+        raise error
+    return element_from_coords(family.structure, v[:, 0])
 
 
 def phi_limit(
@@ -300,19 +324,13 @@ def phi_limit(
     y: AlgebraElement,
     tol: float = STEP_TOL,
     max_iter: int = MAX_ITER,
-    window: int = WINDOW,
 ) -> AlgebraElement:
     """Diagonal limit of phi_s(y); guaranteed to exist on C*(N^phi).
 
     Raises Divergent when the orbit fails to stabilize, which signals
-    either y outside C*(N^phi) or a very slow spectral gap.
+    either y outside C*(N^phi) or a spectral gap too slow for max_iter.
     """
-    v, _ = _limit_iteration(family.theta, y.coords(), tol, max_iter, window)
-    result = element_from_coords(family.structure, v)
-    for gen in family.generators:
-        if (apply(gen, result) - result).norm() > 10.0 * tol * max(1.0, result.norm()):
-            raise Divergent("iteration stalled off the fixed space")
-    return result
+    return _limit(family, y, "iteration stalled off the fixed space", tol, max_iter)
 
 
 def pi_limit(
@@ -320,21 +338,15 @@ def pi_limit(
     y: AlgebraElement,
     tol: float = STEP_TOL,
     max_iter: int = MAX_ITER,
-    window: int = WINDOW,
     cstar: CStarSpan | None = None,
 ) -> AlgebraElement:
     """Diagonal limit of alpha_s(y) for y in C*(N^phi), landing in M^alpha."""
-    if cstar is None:
-        cstar = cstar_closure(fixed_space(instance.phi))
+    cstar = cstar or cstar_closure(fixed_space(instance.phi))
     gap = span_distance(cstar.matrix, y.coords())
     if gap > SPAN_TOL * max(1.0, y.norm()):
         raise NotInCStar(f"element is {gap:g} away from C*(N^phi); limit not guaranteed")
-    v, _ = _limit_iteration(instance.alpha.theta, inject(instance.emb, y).coords(), tol, max_iter, window)
-    result = element_from_coords(instance.structure, v)
-    for gen in instance.alpha.generators:
-        if (apply(gen, result) - result).norm() > 10.0 * tol * max(1.0, result.norm()):
-            raise Divergent("ambient iteration stalled off the fixed space")
-    return result
+    stalled = "ambient iteration stalled off the fixed space"
+    return _limit(instance.alpha, inject(instance.emb, y), stalled, tol, max_iter)
 
 
 def lift_fixed_point(
@@ -398,10 +410,8 @@ def check_complete_isometry(
     M^alpha is a linear bijection onto N^phi.  Each level draws, amplifies
     and takes norms of all its samples at once.
     """
-    if fs_ambient is None:
-        fs_ambient = fixed_space(instance.alpha)
-    if fs_corner is None:
-        fs_corner = fixed_space(instance.phi)
+    fs_ambient = fs_ambient or fixed_space(instance.alpha)
+    fs_corner = fs_corner or fixed_space(instance.phi)
     rng = np.random.default_rng(seed)
     compressed = [compress(instance.emb, b) for b in fs_ambient.basis]
     if fs_ambient.dimension == 0:
@@ -458,13 +468,11 @@ def kernel_ideal_check(
     random combinations, then grown by left and right multiplication with
     C* basis elements until the span stabilizes.  Each round appends, for
     every ideal column q and C* basis column bb in turn, bb q and q bb.
+    Without erg it takes the rho already built for the family, as the suite does.
     """
-    if fs is None:
-        fs = fixed_space(family)
-    if cs is None:
-        cs = cstar_closure(fs)
-    if erg is None:
-        erg = ergodic_projection(family)
+    fs = fs or fixed_space(family)
+    cs = cs or cstar_closure(fs)
+    erg = erg or ergodic_projection.built_or_default(family)
     if cs.dimension == 0:
         return KernelIdealReport(0, 0, 0.0, 0.0, True, seed, note="trivial fixed space")
     b = cs.matrix
@@ -509,40 +517,6 @@ def _psd_floor(structure: BlockStructure, vs) -> float:
     return worst
 
 
-def _column_limits(family: SemigroupFamily, v: np.ndarray, stalled: str):
-    """phi_limit of every column of a (D, S) coordinate block at once.
-
-    Each column follows the rule of _limit_iteration on its own increments,
-    so it stops at the step where it would stop alone, and then gets the
-    generator check of phi_limit.  Returns the limits and, per column, the
-    Divergent that phi_limit raises (with message `stalled` for a failed
-    check), or None.
-    """
-    v = np.array(v, dtype=complex)
-    live = np.arange(v.shape[1])  # the columns still iterating, held compactly in w
-    w, run, inc = v, np.zeros(live.size, dtype=int), np.full(live.size, np.inf)
-    for _ in range(MAX_ITER):
-        if live.size == 0:
-            break
-        nxt = family.theta @ w
-        inc = np.linalg.norm(nxt - w, axis=0)
-        w = nxt
-        run = np.where(inc <= STEP_TOL, run + 1, 0)
-        done = run >= WINDOW
-        if done.any():
-            v[:, live[done]] = w[:, done]
-            live, w, run, inc = live[~done], w[:, ~done], run[~done], inc[~done]
-    st = family.structure
-    bound = 10.0 * STEP_TOL * np.maximum(1.0, _norms(st, v))
-    off = np.zeros(v.shape[1], dtype=bool)
-    for gen in family.generators:
-        off |= _norms(st, gen.superop @ v - v) > bound
-    errors = [Divergent(stalled) if o else None for o in off]
-    for j, last in zip(live, inc):
-        errors[j] = Divergent(f"no Cauchy window of {WINDOW} after {MAX_ITER} steps (last increment {last:g})")
-    return v, errors
-
-
 def _pi_limits(instance: DilationInstance, y: np.ndarray):
     """pi_limit of every column of a corner coordinate block: the limits and, per column, its error or None."""
     gaps = span_distance(cstar_closure(fixed_space(instance.phi)).matrix, y)
@@ -553,7 +527,7 @@ def _pi_limits(instance: DilationInstance, y: np.ndarray):
     ]
     inside = np.flatnonzero(~outside)
     z = np.zeros((instance.structure.coord_dim, y.shape[1]), dtype=complex)
-    z[:, inside], inside_errors = _column_limits(
+    z[:, inside], inside_errors = _diagonal_limits(
         instance.alpha, _injected(instance.emb, y[:, inside]), "ambient iteration stalled off the fixed space"
     )
     for j, err in zip(inside, inside_errors):
@@ -687,7 +661,7 @@ def property_suite(
     else:
         x = _combos(fs.matrix, rng.standard_normal((samples, 2, fs.dimension)))
         q = _product(st, _star(st, x), x)
-        lims, errors = _column_limits(family, q, "iteration stalled off the fixed space")
+        lims, errors = _diagonal_limits(family, q, "iteration stalled off the fixed space")
         converged = np.array([err is None for err in errors], dtype=bool)
         failed = [err for err in errors if err is not None]
         worst = float(np.max(_norms(st, (lims - rho @ q)[:, converged]), initial=0.0))

@@ -1,6 +1,8 @@
 import copy
 import json
 import sys
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -295,3 +297,21 @@ def test_tasks_round_trip(tmp_path):
     assert len(tasks) == 1
     assert tasks[0]["status"] == "PASS"
     assert "diverges" in tasks[0]["note"]
+
+
+def test_huge_max_iter_diverges_quickly_without_warnings(tmp_path, capsys):
+    path = tmp_path / "rotation.json"
+    data = cmd_demo("rotation", {}, str(path))
+    data["config"] = {"max_iter": 2**70}
+    path.write_text(json.dumps(data))
+    t0 = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", str(path), "--out", str(tmp_path / "report.json")]) == 0
+    assert time.perf_counter() - t0 < 5.0
+    rep = json.loads((tmp_path / "report.json").read_text())
+    (task,) = [e for e in rep["entries"] if e["task"].startswith("task:")]
+    assert (task["status"], task["note"]) == ("PASS", "outcome: diverges")
+    # 2^70 - 1 steps cover 71 squarings; the rounded |e^{i pi/3}| > 1 overflows well before
+    assert task["residuals"]["detail"].endswith("steps (last increment inf)")
+    capsys.readouterr()
