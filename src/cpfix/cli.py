@@ -511,6 +511,7 @@ def cmd_dilation(path: str, overrides: dict | None = None) -> dict:
         )
     )
     try:
+        # kernel_ideal_check and the suite take the rho built here at the config's tolerances
         ergodic_projection(instance.phi, tol=cfg.convergence_tol, cesaro_cap=cfg.cesaro_cap)
         krep = kernel_ideal_check(instance.phi, seed=cfg.seed)
         entries.append(

@@ -279,13 +279,14 @@ def ergodic_projection(
 def _diagonal_limits(family: SemigroupFamily, v: np.ndarray, stalled: str, tol=STEP_TOL, max_iter=MAX_ITER):
     """lim_s beta_s of every column of a (D, S) coordinate block, by repeated squaring of theta.
 
-    Doubling k steps each live column by theta^(2^k), so after k doublings
-    it has taken 2^k - 1 steps.  A column stops at its first increment
-    <= tol, which bounds its remaining error without a 1/gap factor, and
-    diverges if within max_iter.bit_length() doublings it never stops or
-    its increment overflows.  Every limit then gets the check that each
-    generator fixes it.  Returns the limits and, per column, a Divergent
-    (with message `stalled` for a failed check) or None.
+    Doubling k steps each live column by theta^(2^k), 2^k - 1 steps in all
+    after k doublings.  A column stops at its first increment <= tol; once
+    2^k is past 1/gap, theta^(2^k) at least halves what still decays, so
+    that increment bounds the remaining error without a 1/gap factor.  A
+    column that never stops within max_iter.bit_length() doublings, or
+    whose increment overflows, diverges; so does a limit that a generator
+    moves.  Returns the limits and, per column, a Divergent (with message
+    `stalled` for a moved limit) or None.
     """
     v = np.array(v, dtype=complex)
     live = np.arange(v.shape[1])  # the columns still iterating, held compactly in w
@@ -297,14 +298,15 @@ def _diagonal_limits(family: SemigroupFamily, v: np.ndarray, stalled: str, tol=S
                 break
             nxt = family.theta_square(k) @ w
             inc = np.linalg.norm(nxt - w, axis=0)
-            w = nxt
             last[live] = inc
             done = inc <= tol
-            v[:, live[done]] = w[:, done]
+            v[:, live[done]] = nxt[:, done]
             going = ~done & np.isfinite(inc)
-            live, w = live[going], w[:, going]
-    bound = 10.0 * tol * np.maximum(1.0, _norms(family.structure, v))
-    off = np.any([_norms(family.structure, gen.superop @ v - v) > bound for gen in family.generators], axis=0)
+            live, w = live[going], nxt[:, going]
+    # row 0: the norm of each limit; row 1 + i: the norm of its defect under generator i, all in one _norms
+    norms = _norms(family.structure, np.hstack([v] + [g.superop @ v - v for g in family.generators]))
+    norms = norms.reshape(1 + family.rank, v.shape[1])
+    off = np.any(norms[1:] > 10.0 * tol * np.maximum(1.0, norms[0]), axis=0)
     errors = [Divergent(stalled) if o else None for o in off]
     for j in np.flatnonzero(~(last <= tol)):
         errors[j] = Divergent(f"no convergence within {2**doublings - 1} steps (last increment {last[j]:g})")
@@ -341,7 +343,8 @@ def pi_limit(
     cstar: CStarSpan | None = None,
 ) -> AlgebraElement:
     """Diagonal limit of alpha_s(y) for y in C*(N^phi), landing in M^alpha."""
-    cstar = cstar or cstar_closure(fixed_space(instance.phi))
+    if cstar is None:
+        cstar = cstar_closure(fixed_space(instance.phi))
     gap = span_distance(cstar.matrix, y.coords())
     if gap > SPAN_TOL * max(1.0, y.norm()):
         raise NotInCStar(f"element is {gap:g} away from C*(N^phi); limit not guaranteed")
@@ -410,8 +413,10 @@ def check_complete_isometry(
     M^alpha is a linear bijection onto N^phi.  Each level draws, amplifies
     and takes norms of all its samples at once.
     """
-    fs_ambient = fs_ambient or fixed_space(instance.alpha)
-    fs_corner = fs_corner or fixed_space(instance.phi)
+    if fs_ambient is None:
+        fs_ambient = fixed_space(instance.alpha)
+    if fs_corner is None:
+        fs_corner = fixed_space(instance.phi)
     rng = np.random.default_rng(seed)
     compressed = [compress(instance.emb, b) for b in fs_ambient.basis]
     if fs_ambient.dimension == 0:
@@ -470,9 +475,12 @@ def kernel_ideal_check(
     every ideal column q and C* basis column bb in turn, bb q and q bb.
     Without erg it takes the rho already built for the family, as the suite does.
     """
-    fs = fs or fixed_space(family)
-    cs = cs or cstar_closure(fs)
-    erg = erg or ergodic_projection.built_or_default(family)
+    if fs is None:
+        fs = fixed_space(family)
+    if cs is None:
+        cs = cstar_closure(fs)
+    if erg is None:
+        erg = ergodic_projection.built_or_default(family)
     if cs.dimension == 0:
         return KernelIdealReport(0, 0, 0.0, 0.0, True, seed, note="trivial fixed space")
     b = cs.matrix
@@ -519,19 +527,11 @@ def _psd_floor(structure: BlockStructure, vs) -> float:
 
 def _pi_limits(instance: DilationInstance, y: np.ndarray):
     """pi_limit of every column of a corner coordinate block: the limits and, per column, its error or None."""
+    stalled = "ambient iteration stalled off the fixed space"
+    z, errors = _diagonal_limits(instance.alpha, _injected(instance.emb, y), stalled)
     gaps = span_distance(cstar_closure(fixed_space(instance.phi)).matrix, y)
-    outside = gaps > SPAN_TOL * np.maximum(1.0, _norms(instance.emb.corner, y))
-    errors = [
-        NotInCStar(f"element is {gap:g} away from C*(N^phi); limit not guaranteed") if out else None
-        for gap, out in zip(gaps, outside)
-    ]
-    inside = np.flatnonzero(~outside)
-    z = np.zeros((instance.structure.coord_dim, y.shape[1]), dtype=complex)
-    z[:, inside], inside_errors = _diagonal_limits(
-        instance.alpha, _injected(instance.emb, y[:, inside]), "ambient iteration stalled off the fixed space"
-    )
-    for j, err in zip(inside, inside_errors):
-        errors[j] = err
+    for j in np.flatnonzero(gaps > SPAN_TOL * np.maximum(1.0, _norms(instance.emb.corner, y))):
+        errors[j] = NotInCStar(f"element is {gaps[j]:g} away from C*(N^phi); limit not guaranteed")
     return z, errors
 
 
