@@ -204,7 +204,7 @@ def test_phi_limit_slow_leaky_gaps_reach_the_mean_projection(c, s):
 
 
 def test_phi_limit_periodic_orbit_fails_the_generator_check():
-    # theta^4 = 1 on E01, so the increment of the third squaring is 0 at theta^3 E01 = -i E01
+    # theta^4 = 1 on E01, so the third doubling, a step by theta^4, moves nothing off the fixed space
     with pytest.raises(Divergent, match="stalled off the fixed space"):
         phi_limit(rotation_family(np.pi / 2), unit(0, 1))
 
