@@ -47,9 +47,12 @@ from .dilation import DilationInstance, Minimality, check_minimality
 FIXED_TOL = 1e-10
 SPAN_TOL = 1e-8
 # the diagonal limits stop at the first increment below `STEP_TOL`, within
-# `MAX_ITER.bit_length()` squarings of theta, that is 2^20 - 1 steps
+# `MAX_ITER.bit_length()` squarings of theta, that is 2^20 - 1 steps, and never
+# more than `MAX_DOUBLINGS`: rounding in theta^(2^k) moves a unit-modulus
+# eigenvalue by percents at k = 45 and towards 0 beyond, a false limit
 STEP_TOL = 1e-10
 MAX_ITER = 10**6
+MAX_DOUBLINGS = 40
 # property-suite thresholds no report sets
 LIMIT_TOL = 1e-7  # limit_vs_mean and factorization
 CHOI_EFFROS_TOL = 1e-9
@@ -280,18 +283,17 @@ def _diagonal_limits(family: SemigroupFamily, v: np.ndarray, stalled: str, tol=S
     """lim_s beta_s of every column of a (D, S) coordinate block, by repeated squaring of theta.
 
     Doubling k steps each live column by theta^(2^k), 2^k - 1 steps in all
-    after k doublings.  A column stops at its first increment <= tol; once
-    2^k is past 1/gap, theta^(2^k) at least halves what still decays, so
-    that increment bounds the remaining error without a 1/gap factor.  A
-    column that never stops within max_iter.bit_length() doublings, or
-    whose increment overflows, diverges; so does a limit that a generator
-    moves.  Returns the limits and, per column, a Divergent (with message
-    `stalled` for a moved limit) or None.
+    after k doublings.  A column stops at its first increment <= tol: once
+    2^k is past 1/gap that bounds the error, but a part that moves less than
+    tol per step stops it at once, off by up to tol/gap.  A column that never
+    stops within min(max_iter.bit_length(), MAX_DOUBLINGS) doublings, or whose
+    increment overflows, diverges; so does a limit that a generator moves.
+    Returns the limits and, per column, a Divergent (`stalled` for a moved limit) or None.
     """
     v = np.array(v, dtype=complex)
     live = np.arange(v.shape[1])  # the columns still iterating, held compactly in w
     w, last = v, np.full(v.shape[1], np.inf)
-    doublings = max_iter.bit_length()
+    doublings = min(max_iter.bit_length(), MAX_DOUBLINGS)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(doublings):
             if live.size == 0:
@@ -475,12 +477,9 @@ def kernel_ideal_check(
     every ideal column q and C* basis column bb in turn, bb q and q bb.
     Without erg it takes the rho already built for the family, as the suite does.
     """
-    if fs is None:
-        fs = fixed_space(family)
-    if cs is None:
-        cs = cstar_closure(fs)
-    if erg is None:
-        erg = ergodic_projection.built_or_default(family)
+    fs = fixed_space(family) if fs is None else fs
+    cs = cstar_closure(fs) if cs is None else cs
+    erg = ergodic_projection.built_or_default(family) if erg is None else erg
     if cs.dimension == 0:
         return KernelIdealReport(0, 0, 0.0, 0.0, True, seed, note="trivial fixed space")
     b = cs.matrix

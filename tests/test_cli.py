@@ -312,5 +312,5 @@ def test_huge_max_iter_diverges_quickly_without_warnings(tmp_path):
     rep = json.loads((tmp_path / "report.json").read_text())
     (task,) = [e for e in rep["entries"] if e["task"].startswith("task:")]
     assert (task["status"], task["note"]) == ("PASS", "outcome: diverges")
-    # max_iter = 2^70 allows 71 squarings; the rounded |e^{i pi/3}| > 1 overflows well before the last
-    assert task["residuals"]["detail"].endswith("steps (last increment inf)")
+    # max_iter = 2^70 is cut to 40 squarings, where |e^{i pi/3}| still rounds to 1 either way
+    assert task["residuals"]["detail"].startswith("no convergence within 1099511627775 steps")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from cpfix.cpsemi import (
     make_family,
     mixture_family,
     rotation_family,
+    SemigroupFamily,
 )
 from cpfix.dilation import (
     DilationInstance,
@@ -212,6 +215,23 @@ def test_phi_limit_periodic_orbit_fails_the_generator_check():
 def test_phi_limit_rotation_diverges_at_the_default_budget():
     with pytest.raises(Divergent, match="no convergence within 1048575 steps"):
         phi_limit(rotation_family(np.pi / 3), unit(0, 1))
+
+
+@pytest.mark.parametrize("angle", [0.3, 1.0, np.pi / 3])
+def test_phi_limit_huge_budget_stops_at_the_doubling_cap(angle):
+    # at 2^58 squarings the rounded |e^{i 0.3}| decayed to 0, a limit every generator fixes, while
+    # the other two angles overflowed; 40 doublings keep every unit modulus within rounding of 1
+    with pytest.raises(Divergent, match="no convergence within 1099511627775 steps"):
+        phi_limit(rotation_family(angle), unit(0, 1), max_iter=2**70)
+
+
+def test_phi_limit_overflowing_orbit_diverges_without_warnings():
+    # an unchecked family with theta = 4: the increments overflow within ten doublings
+    fam = SemigroupFamily(M2, (cp_map(M2, M2, {(0, 0): [2.0 * np.eye(2, dtype=complex)]}),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Divergent, match=r"last increment inf\)$"):
+            phi_limit(fam, unit(0, 0))
 
 
 def test_phi_limit_agrees_with_mean_projection():
