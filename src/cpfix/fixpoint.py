@@ -47,12 +47,12 @@ from .dilation import DilationInstance, Minimality, check_minimality
 FIXED_TOL = 1e-10
 SPAN_TOL = 1e-8
 # the diagonal limits stop at the first increment below `STEP_TOL`, within
-# `MAX_ITER.bit_length()` squarings of theta, that is 2^20 - 1 steps, and never
-# more than `MAX_DOUBLINGS`: rounding in theta^(2^k) moves a unit-modulus
-# eigenvalue by percents at k = 45 and towards 0 beyond, a false limit
+# `MAX_ITER.bit_length()` = 20 squarings of theta and never more than 40: past
+# k = 45, rounding in theta^(2^k) can square a unit-modulus eigenvalue towards 0
 STEP_TOL = 1e-10
 MAX_ITER = 10**6
 MAX_DOUBLINGS = 40
+STALLED = "iteration stalled off the fixed space"
 # property-suite thresholds no report sets
 LIMIT_TOL = 1e-7  # limit_vs_mean and factorization
 CHOI_EFFROS_TOL = 1e-9
@@ -334,7 +334,7 @@ def phi_limit(
     Raises Divergent when the orbit fails to stabilize, which signals
     either y outside C*(N^phi) or a spectral gap too slow for max_iter.
     """
-    return _limit(family, y, "iteration stalled off the fixed space", tol, max_iter)
+    return _limit(family, y, STALLED, tol, max_iter)
 
 
 def pi_limit(
@@ -350,8 +350,7 @@ def pi_limit(
     gap = span_distance(cstar.matrix, y.coords())
     if gap > SPAN_TOL * max(1.0, y.norm()):
         raise NotInCStar(f"element is {gap:g} away from C*(N^phi); limit not guaranteed")
-    stalled = "ambient iteration stalled off the fixed space"
-    return _limit(instance.alpha, inject(instance.emb, y), stalled, tol, max_iter)
+    return _limit(instance.alpha, inject(instance.emb, y), "ambient " + STALLED, tol, max_iter)
 
 
 def lift_fixed_point(
@@ -477,9 +476,12 @@ def kernel_ideal_check(
     every ideal column q and C* basis column bb in turn, bb q and q bb.
     Without erg it takes the rho already built for the family, as the suite does.
     """
-    fs = fixed_space(family) if fs is None else fs
-    cs = cstar_closure(fs) if cs is None else cs
-    erg = ergodic_projection.built_or_default(family) if erg is None else erg
+    if fs is None:
+        fs = fixed_space(family)
+    if cs is None:
+        cs = cstar_closure(fs)
+    if erg is None:
+        erg = ergodic_projection.built_or_default(family)
     if cs.dimension == 0:
         return KernelIdealReport(0, 0, 0.0, 0.0, True, seed, note="trivial fixed space")
     b = cs.matrix
@@ -526,8 +528,7 @@ def _psd_floor(structure: BlockStructure, vs) -> float:
 
 def _pi_limits(instance: DilationInstance, y: np.ndarray):
     """pi_limit of every column of a corner coordinate block: the limits and, per column, its error or None."""
-    stalled = "ambient iteration stalled off the fixed space"
-    z, errors = _diagonal_limits(instance.alpha, _injected(instance.emb, y), stalled)
+    z, errors = _diagonal_limits(instance.alpha, _injected(instance.emb, y), "ambient " + STALLED)
     gaps = span_distance(cstar_closure(fixed_space(instance.phi)).matrix, y)
     for j in np.flatnonzero(gaps > SPAN_TOL * np.maximum(1.0, _norms(instance.emb.corner, y))):
         errors[j] = NotInCStar(f"element is {gaps[j]:g} away from C*(N^phi); limit not guaranteed")
@@ -660,7 +661,7 @@ def property_suite(
     else:
         x = _combos(fs.matrix, rng.standard_normal((samples, 2, fs.dimension)))
         q = _product(st, _star(st, x), x)
-        lims, errors = _diagonal_limits(family, q, "iteration stalled off the fixed space")
+        lims, errors = _diagonal_limits(family, q, STALLED)
         converged = np.array([err is None for err in errors], dtype=bool)
         failed = [err for err in errors if err is not None]
         worst = float(np.max(_norms(st, (lims - rho @ q)[:, converged]), initial=0.0))
