@@ -77,8 +77,6 @@ class Config:
     levels: int = 3
     samples: int = 100
     seed: int = 0
-    minimality_tol: float = 1e-10
-    minimality_max_iter: int = 10000
     mono_steps: int = 10
     s_max: int = 10
 
@@ -485,7 +483,7 @@ def cmd_dilation(path: str, overrides: dict | None = None) -> dict:
     extras["compressed_family"] = [
         encode_map(f"phi{k}", "cp", g) for k, g in enumerate(instance.phi.generators)
     ]
-    verdict = check_minimality(instance.alpha, instance.p, tol=cfg.minimality_tol, max_iter=cfg.minimality_max_iter)
+    verdict = check_minimality(instance.alpha, instance.p)
     entries.append(
         entry(
             "minimality",

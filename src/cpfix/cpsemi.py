@@ -32,9 +32,8 @@ def _cached_on_argument(fn):
 
     Families, fixed spaces and elements are immutable, so a result computed
     once serves every later call with the same arguments.
-    `fn.built_or_default(obj, *args)` returns the oldest result already
-    computed on obj whose arguments after obj begin with args, else
-    fn(obj, *args) at the remaining defaults.
+    `fn.built_or_default(obj)` returns the oldest result of fn already
+    computed on obj, whatever its arguments, else fn(obj) at the defaults.
     """
     signature = inspect.signature(fn)
 
@@ -48,11 +47,11 @@ def _cached_on_argument(fn):
             memo[key] = fn(obj, *args, **kwargs)
         return memo[key]
 
-    def built_or_default(obj, *args):
+    def built_or_default(obj):
         for key, value in vars(obj).get("_derived", {}).items():
-            if key[0] == fn.__name__ and key[1 : 1 + len(args)] == args:
+            if key[0] == fn.__name__:
                 return value
-        return cached(obj, *args)
+        return cached(obj)
 
     cached.built_or_default = built_or_default
     return cached

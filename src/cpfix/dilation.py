@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoInvarianceViolated, NotUnitary, SemigroupLawViolated, ShapeMismatch
+from .errors import CoInvarianceViolated, CpfixError, NotUnitary, SemigroupLawViolated, ShapeMismatch
 from .matcore import is_psd, op_norm, random_unitary
 from .cpsemi import (
     CPMap,
@@ -70,7 +70,6 @@ def check_coinvariance(alpha: SemigroupFamily, p: AlgebraElement) -> bool:
 class Minimality(enum.Enum):
     MINIMAL = "minimal"
     NON_MINIMAL = "non_minimal"
-    UNDETERMINED = "undetermined"
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,21 +81,21 @@ class MinimalityResult:
 
 
 @_cached_on_argument
-def check_minimality(
-    alpha: SemigroupFamily,
-    p: AlgebraElement,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-) -> MinimalityResult:
-    """Decide inf_s alpha_s(1-p) = 0 along the diagonal t_n = (n, ..., n).
+def check_minimality(alpha: SemigroupFamily, p: AlgebraElement) -> MinimalityResult:
+    """Decide inf_s alpha_s(1-p) = 0 along the diagonal t_n = (n, ..., n), exactly.
 
-    The defect net is PSD and decreasing, hence convergent.  A candidate
-    limit is only accepted as NonMinimal when it is itself fixed by the
-    diagonal step; a small increment on a slowly decaying orbit yields
-    Undetermined rather than a wrong verdict.  The net is iterated on
-    coordinates by the diagonal step alpha.theta.  The result is cached on
-    alpha, keyed by p and the tolerances.
+    The diagonal step theta is a *-endomorphism, so every defect
+    d_n = theta^n(1-p) is a projection, and co-invariance gives
+    d_{n+1} <= d_n.  Two distinct comparable projections differ by a
+    nonzero projection, so ||d_{n+1} - d_n|| is 0 or 1, and once
+    d_{n+1} = d_n the defect is fixed for good.  The net therefore loses
+    at least one unit of rank per step until it stops, within
+    r = tr(1-p) steps: alpha is minimal iff d_r = 0.  Norms, which are
+    0 or 1 up to rounding, are compared with 1/2.  The net is iterated
+    on coordinates; the result is cached on alpha, keyed by p.
     """
+    if not alpha.is_endomorphic:
+        raise ShapeMismatch("minimality is decided for *-endomorphic families only")
     if not check_coinvariance(alpha, p):
         raise CoInvarianceViolated("alpha(1-p) <= 1-p fails for some generator")
     st = alpha.structure
@@ -105,18 +104,20 @@ def check_minimality(
     def norm(v: np.ndarray) -> float:
         return float(_norms(st, v)[0])
 
-    defect = (identity_element(st) - p).coords()[:, None]
-    for n in range(max_iter):
-        if norm(defect) <= 10.0 * tol:
+    q = identity_element(st) - p
+    rank = round(sum(np.trace(b).real for b in q.blocks))
+    defect = q.coords()[:, None]
+    for n in range(rank + 1):
+        if norm(defect) <= 0.5:
             return MinimalityResult(Minimality.MINIMAL, n, norm(defect))
         nxt = theta @ defect
-        if norm(nxt - defect) <= tol:
-            if norm(nxt) <= 10.0 * tol:
-                return MinimalityResult(Minimality.MINIMAL, n + 1, norm(nxt))
-            if norm(theta @ nxt - nxt) <= 10.0 * tol:
-                return MinimalityResult(Minimality.NON_MINIMAL, n + 1, norm(nxt), limit=element_from_coords(st, nxt))
+        if norm(nxt - defect) <= 0.5:
+            return MinimalityResult(Minimality.NON_MINIMAL, n + 1, norm(nxt), limit=element_from_coords(st, nxt))
         defect = nxt
-    return MinimalityResult(Minimality.UNDETERMINED, max_iter, norm(defect), limit=element_from_coords(st, defect))
+    raise CpfixError(
+        f"the defect net kept moving for {rank + 1} steps, more than tr(1-p) = {rank} allows: "
+        "the diagonal step is not a *-endomorphism or p is not a co-invariant projection"
+    )
 
 
 def compress_map(phi: CPMap, emb: CornerEmbedding) -> CPMap:

@@ -595,9 +595,8 @@ def property_suite(
 
     Each item draws its samples in the order and with the numbers of one
     draw per sample, and works on them as one (D, S) coordinate block.
-    rho, and the minimality verdict of a DilationInstance, are the ones
-    already built, say by a report at its config's tolerances, or else the
-    ones at the default settings.
+    rho is the one already built, say by a report at its config's
+    tolerances, or else the one at the default settings.
     """
     instance = obj if isinstance(obj, DilationInstance) else None
     family = instance.phi if instance is not None else obj
@@ -727,7 +726,7 @@ def property_suite(
         )
 
     if instance is not None:
-        verdict = check_minimality.built_or_default(instance.alpha, instance.p)
+        verdict = check_minimality(instance.alpha, instance.p)
         minimal = verdict.status is Minimality.MINIMAL
         note = "" if minimal else "minimality not established; lifting identity expected to fail"
         fs_ambient = fixed_space(instance.alpha)

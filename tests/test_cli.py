@@ -146,9 +146,11 @@ def test_parse_error_on_malformed_json(tmp_path):
         load_problem(str(bad_path))
 
 
-def test_config_rejects_unknown_keys():
-    with pytest.raises(ParseError):
-        Config.from_dict({"no_such_knob": 1})
+# minimality_tol and minimality_max_iter were keys until minimality became an exact decision
+@pytest.mark.parametrize("key", ["no_such_knob", "minimality_tol", "minimality_max_iter"])
+def test_config_rejects_unknown_keys(key):
+    with pytest.raises(ParseError, match=key):
+        Config.from_dict({key: 1})
 
 
 @pytest.mark.parametrize(
@@ -227,16 +229,18 @@ def test_suite_checks_the_reports_rho(tmp_path, monkeypatch):
     assert rep["exit_code"] == 0
 
 
-def test_suite_reuses_the_reports_minimality_verdict(tmp_path, monkeypatch):
-    path = tmp_path / "dilation.json"
-    data = cmd_demo("random-dilation", {"seed": "4", "d": "2"}, str(path))
-    data["config"]["minimality_tol"] = 1e-9
+def test_loose_convergence_tol_is_an_ergodic_projection_error(tmp_path):
+    # fixed_space keeps FIXED_TOL, so a loose convergence_tol cannot shift rho's rank off the
+    # fixed-space dimension; rho built at 1e-2 fails its intertwining check instead
+    path = tmp_path / "leaky.json"
+    data = cmd_demo("leaky-damping", {"c": "0.999", "s": "0.03"}, str(path))
+    data["config"] = {"convergence_tol": 1e-2}
     path.write_text(json.dumps(data))
-    counts = count_calls(monkeypatch, ("dilation.MinimalityResult",))
-    rep = cmd_dilation(str(path))
-    # the minimality row and the suite's lifting items share the verdict built at the config's tolerance
-    assert counts["dilation.MinimalityResult"] == 1
-    assert rep["exit_code"] == 0
+    rep = cmd_analyze(str(path))
+    by_task = {e["task"]: e for e in rep["entries"]}
+    assert by_task["ergodic_projection"]["status"] == "ERROR"
+    assert "failed intertwine_left check" in by_task["ergodic_projection"]["note"]
+    assert rep["exit_code"] == 2
 
 
 def test_unknown_demo_family(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cpfix.errors import CoInvarianceViolated, NotUnitary, SemigroupLawViolated, ShapeMismatch
+from cpfix.errors import CoInvarianceViolated, CpfixError, NotUnitary, SemigroupLawViolated, ShapeMismatch
 from cpfix.matcore import is_psd, op_norm, random_unitary
 from cpfix.vnalg import (
     AlgebraElement,
@@ -13,6 +13,8 @@ from cpfix.cpsemi import (
     apply,
     apply_power,
     conjugation_map,
+    cp_map,
+    damping_family,
     identity_map,
     make_family,
     to_superoperator,
@@ -94,6 +96,26 @@ def test_minimality_requires_coinvariance():
         check_minimality(alpha, p)
 
 
+def test_minimality_requires_endomorphic_family():
+    # p = diag(1, 0) is co-invariant under damping, but its defects decay
+    # geometrically rather than as projections, so the exact rule does not apply
+    fam = damping_family(0.5)
+    p = AlgebraElement(fam.structure, (np.diag([1.0, 0.0]).astype(complex),))
+    assert check_coinvariance(fam, p)
+    with pytest.raises(ShapeMismatch):
+        check_minimality(fam, p)
+
+
+def test_minimality_raises_past_the_rank_bound():
+    st = BlockStructure((2,))
+    alpha = make_family([identity_map(st)], expect_endomorphic=True)
+    # a diagonal step that flips the sign of every defect breaks the rank descent
+    vars(alpha)["theta"] = -np.eye(st.coord_dim, dtype=complex)
+    p = AlgebraElement(st, (np.diag([1.0, 0.0]).astype(complex),))
+    with pytest.raises(CpfixError, match=r"tr\(1-p\) = 1"):
+        check_minimality(alpha, p)
+
+
 def kraus_diag_step(family, x):
     """One diagonal step in Kraus form: every generator applied once."""
     for gen in family.generators:
@@ -112,7 +134,7 @@ def test_minimality_monotone_defects():
 
 
 def looped_minimality(alpha, p, tol=1e-10, max_iter=10000):
-    """check_minimality one element at a time: (status, steps, final_defect_norm, limit)."""
+    """A tolerance rule with a fixedness guard, one element at a time: (status, steps, final_defect_norm, limit)."""
     defect = identity_element(alpha.structure) - p
     for n in range(max_iter):
         if defect.norm() <= 10.0 * tol:
@@ -124,7 +146,7 @@ def looped_minimality(alpha, p, tol=1e-10, max_iter=10000):
             if (kraus_diag_step(alpha, nxt) - nxt).norm() <= 10.0 * tol:
                 return Minimality.NON_MINIMAL, n + 1, nxt.norm(), nxt
         defect = nxt
-    return Minimality.UNDETERMINED, max_iter, defect.norm(), defect
+    raise AssertionError(f"no verdict within {max_iter} steps")
 
 
 def test_minimality_matches_looped_reference():
@@ -132,22 +154,38 @@ def test_minimality_matches_looped_reference():
     identity = make_family([identity_map(st)], expect_endomorphic=True)
     half = AlgebraElement(st, (np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)))
     tail = build_tail_shift(2, 3, np.diag([1.0, np.exp(0.9j)]))
-    cases = [(identity, half, {}), (tail.alpha, tail.p, {}), (tail.alpha, tail.p, {"max_iter": 2})]
+    # the same tail shift beside a fixed 1x1 block: the defect loses rank for 3 steps,
+    # then stops at the extra block's unit, so the verdict is NON_MINIMAL at steps = 4
+    shift = tail_shift_map(2, 3, np.diag([1.0, np.exp(0.9j)]))
+    st_fixed = BlockStructure((2, 2, 2, 2, 1))
+    with_fixed = cp_map(st_fixed, st_fixed, {**dict(shift.kraus), (4, 4): [np.eye(1)]})
+    fixed_block = make_family([with_fixed], expect_endomorphic=True)
+    # a scalar tail shift reaches d_r = 0 at exactly steps = r = tr(1-p) = 4
+    scalar = build_tail_shift(1, 4, np.eye(1))
+    cases = [
+        (identity, half),
+        (tail.alpha, tail.p),
+        (fixed_block, block_zero_projection(st_fixed)),
+        (scalar.alpha, scalar.p),
+    ]
     # with d = 2 the second generator is a global conjugation (seed 5) or that conjugation after the shift (seed 4)
     for seed, d in ((4, 2), (5, 2), (11, 2), (42, 1)):
         inst = build_random_instance(seed, n_max=3, m_max=4, d=d)
-        cases.append((inst.alpha, inst.p, {}))
-    statuses = set()
-    for alpha, p, kwargs in cases:
-        res = check_minimality(alpha, p, **kwargs)
-        status, steps, norm, limit = looped_minimality(alpha, p, **kwargs)
+        cases.append((inst.alpha, inst.p))
+    verdicts = []
+    for alpha, p in cases:
+        res = check_minimality(alpha, p)
+        status, steps, norm, limit = looped_minimality(alpha, p)
         assert (res.status, res.steps) == (status, steps)
         assert abs(res.final_defect_norm - norm) <= 1e-12
         assert (res.limit is None) == (limit is None)
         if limit is not None:
             assert (res.limit - limit).norm() <= 1e-12
-        statuses.add(status)
-    assert statuses == set(Minimality)
+        verdicts.append((status, steps))
+    assert {status for status, _ in verdicts} == {Minimality.MINIMAL, Minimality.NON_MINIMAL}
+    assert verdicts[2:4] == [(Minimality.NON_MINIMAL, 4), (Minimality.MINIMAL, 4)]
+    unit = AlgebraElement(st_fixed, (*[np.zeros((2, 2), dtype=complex)] * 4, np.eye(1, dtype=complex)))
+    assert (check_minimality(fixed_block, block_zero_projection(st_fixed)).limit - unit).norm() <= 1e-12
 
 
 def test_compress_full_projection_is_identity_compression():
@@ -253,8 +291,9 @@ def test_build_random_instance_properties(seed):
     assert check_coinvariance(inst.alpha, inst.p)
     res = check_minimality(inst.alpha, inst.p)
     assert res.status is Minimality.MINIMAL
-    # composite co-invariance for every multi-index with |s| <= 4
     q = identity_element(inst.structure) - inst.p
+    assert res.steps <= round(sum(np.trace(b).real for b in q.blocks))
+    # composite co-invariance for every multi-index with |s| <= 4
     d = inst.alpha.rank
     indices = [(a,) for a in range(1, 5)] if d == 1 else [
         (a, b) for a in range(5) for b in range(5) if 1 <= a + b <= 4
