@@ -116,6 +116,18 @@ def test_minimality_raises_past_the_rank_bound():
         check_minimality(alpha, p)
 
 
+def test_minimality_reads_a_rounded_endomorphism_as_the_exact_one():
+    # the fixed 1x1 block scales by 1 - 5e-10, which still passes the endomorphism check at 1e-9;
+    # its defect then moves by 5e-10 per step, which a tolerance rule never calls fixed
+    shift = tail_shift_map(2, 3, PAULI_X)
+    st = BlockStructure((2, 2, 2, 2, 1))
+    leak = np.sqrt(1.0 - 5e-10) * np.eye(1)
+    alpha = make_family([cp_map(st, st, {**dict(shift.kraus), (4, 4): [leak]})], expect_endomorphic=True)
+    res = check_minimality(alpha, block_zero_projection(st))
+    assert (res.status, res.steps) == (Minimality.NON_MINIMAL, 4)
+    assert abs(res.final_defect_norm - (1.0 - 5e-10) ** 4) <= 1e-15
+
+
 def kraus_diag_step(family, x):
     """One diagonal step in Kraus form: every generator applied once."""
     for gen in family.generators:
@@ -156,9 +168,8 @@ def test_minimality_matches_looped_reference():
     tail = build_tail_shift(2, 3, np.diag([1.0, np.exp(0.9j)]))
     # the same tail shift beside a fixed 1x1 block: the defect loses rank for 3 steps,
     # then stops at the extra block's unit, so the verdict is NON_MINIMAL at steps = 4
-    shift = tail_shift_map(2, 3, np.diag([1.0, np.exp(0.9j)]))
     st_fixed = BlockStructure((2, 2, 2, 2, 1))
-    with_fixed = cp_map(st_fixed, st_fixed, {**dict(shift.kraus), (4, 4): [np.eye(1)]})
+    with_fixed = cp_map(st_fixed, st_fixed, {**dict(tail.alpha.generators[0].kraus), (4, 4): [np.eye(1)]})
     fixed_block = make_family([with_fixed], expect_endomorphic=True)
     # a scalar tail shift reaches d_r = 0 at exactly steps = r = tr(1-p) = 4
     scalar = build_tail_shift(1, 4, np.eye(1))
