@@ -504,6 +504,10 @@ def cmd_dilation(path: str, overrides: dict | None = None) -> dict:
                 "dim_corner_fixed": iso.dim_corner_fixed,
                 "bijective": iso.bijective,
                 "max_defect": iso.max_defect,
+                "route": iso.route,
+                "choi_floor": iso.choi_floor,
+                "unit_defect": iso.unit_defect,
+                "left_inverse_defect": iso.left_inverse_defect,
             },
             iso.note,
         )
@@ -729,7 +733,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dil = sub.add_parser("dilation", help="co-invariance, minimality, lifting checks")
     p_dil.add_argument("file")
-    p_dil.add_argument("--levels", type=int)
+    p_dil.add_argument(
+        "--levels",
+        type=int,
+        help="matrix levels M_k, k = 1..LEVELS, of the sampled isometry check, which runs only "
+        "when the left-inverse certificate fails",
+    )
     p_dil.add_argument("--seed", type=int)
     p_dil.add_argument("--samples", type=int)
     p_dil.add_argument("--out")

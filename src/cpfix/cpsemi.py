@@ -19,7 +19,7 @@ from functools import cached_property, wraps
 
 import numpy as np
 
-from .errors import InvalidFamily, ShapeMismatch
+from .errors import CpfixError, InvalidFamily, ShapeMismatch
 from .matcore import as_matrix, op_norm, random_unitary
 from .vnalg import AlgebraElement, BlockStructure, identity_element
 
@@ -31,11 +31,18 @@ def _cached_on_argument(fn):
     """Memoise fn(obj, ...) on obj, keyed by the remaining bound arguments.
 
     Families, fixed spaces and elements are immutable, so a result computed
-    once serves every later call with the same arguments.
+    once serves every later call with the same arguments.  A CpfixError
+    that fn raised is remembered too, and raised again by those calls.
     `fn.built_or_default(obj)` returns the oldest result of fn already
-    computed on obj, whatever its arguments, else fn(obj) at the defaults.
+    computed on obj, whatever its arguments, or raises its remembered
+    error; if there is none, it returns fn(obj) at the defaults.
     """
     signature = inspect.signature(fn)
+
+    def result(value):
+        if isinstance(value, CpfixError):
+            raise value
+        return value
 
     @wraps(fn)
     def cached(obj, *args, **kwargs):
@@ -44,13 +51,16 @@ def _cached_on_argument(fn):
         key = (fn.__name__, *list(bound.arguments.values())[1:])
         memo = vars(obj).setdefault("_derived", {})
         if key not in memo:
-            memo[key] = fn(obj, *args, **kwargs)
-        return memo[key]
+            try:
+                memo[key] = fn(obj, *args, **kwargs)
+            except CpfixError as exc:
+                memo[key] = exc
+        return result(memo[key])
 
     def built_or_default(obj):
         for key, value in vars(obj).get("_derived", {}).items():
             if key[0] == fn.__name__:
-                return value
+                return result(value)
         return cached(obj)
 
     cached.built_or_default = built_or_default
@@ -171,14 +181,18 @@ def to_superoperator(phi: CPMap) -> np.ndarray:
     return s
 
 
-def choi_min_eig(matrix: np.ndarray, structure: BlockStructure) -> float:
-    """Smallest eigenvalue of the blockwise Choi matrices of a superoperator."""
-    slices = structure.coord_slices()
+def choi_min_eig(matrix: np.ndarray, structure: BlockStructure, source: BlockStructure | None = None) -> float:
+    """Smallest eigenvalue of the blockwise Choi matrices of a superoperator.
+
+    `matrix` maps the coordinates of `source` (by default `structure`
+    itself) to those of `structure`; there is one Choi matrix per pair of
+    a target block j and a source block i.
+    """
+    source = structure if source is None else source
     worst = np.inf
-    for j, nj in enumerate(structure.block_dims):
-        for i, ni in enumerate(structure.block_dims):
-            sji = matrix[slices[j], slices[i]]
-            c = sji.reshape(nj, nj, ni, ni).transpose(2, 0, 3, 1).reshape(ni * nj, ni * nj)
+    for nj, rows in zip(structure.block_dims, structure.coord_slices()):
+        for ni, cols in zip(source.block_dims, source.coord_slices()):
+            c = matrix[rows, cols].reshape(nj, nj, ni, ni).transpose(2, 0, 3, 1).reshape(ni * nj, ni * nj)
             worst = min(worst, float(np.linalg.eigvalsh(0.5 * (c + c.conj().T))[0]))
     return worst
 

@@ -386,6 +386,17 @@ def lift_fixed_point(
 
 @dataclass(frozen=True, eq=False)
 class IsometryReport:
+    """Verdict on E(x) = pxp as a complete isometry M^alpha -> N^phi, and the route that decided it.
+
+    `route` is "certificate" when the left inverse R = rho_alpha o inject
+    certified every matrix level, "sampled" when the sampled levels
+    decided, and "trivial" when M^alpha = 0.  On the certificate route
+    `max_defect` is the largest certificate residual, max(0, -choi_floor)
+    standing for the Choi floor, and `level_defects` is empty; on the
+    sampled route it is the largest level defect.  The three certificate
+    residuals are None on the trivial route only.
+    """
+
     dim_ambient_fixed: int
     dim_corner_fixed: int
     compression_rank: int
@@ -394,7 +405,52 @@ class IsometryReport:
     max_defect: float
     passed: bool
     seed: int
+    route: str
+    choi_floor: float | None
+    unit_defect: float | None
+    left_inverse_defect: float | None
     note: str = ""
+
+
+def _left_inverse_residuals(instance: DilationInstance, fs_ambient: FixedSpace, comp_cols: np.ndarray):
+    """Residuals of R = rho_alpha o inject : N -> M as a unital CP left inverse of E on M^alpha.
+
+    rho_alpha is the product of the per-generator mean projections of
+    alpha, without the Cesaro and Choi checks of ergodic_projection.
+    Returns the smallest eigenvalue of R's blockwise Choi matrices,
+    ||R(1_N) - 1_M|| and max ||R E b - b|| over the ambient fixed basis,
+    whose compressions are the columns of comp_cols.
+    """
+    emb = instance.emb
+    rho = np.eye(emb.ambient.coord_dim, dtype=complex)
+    for gen in instance.alpha.generators:
+        rho = rho @ _mean_projection(gen.superop, FIXED_TOL)[0]
+    r = rho @ _injected(emb, np.eye(emb.corner.coord_dim))
+    choi_floor = choi_min_eig(r, emb.ambient, emb.corner)
+    one_n, one_m = (identity_element(st).coords()[:, None] for st in (emb.corner, emb.ambient))
+    # column 0: R(1_N) - 1_M; column 1 + k: R E b_k - b_k
+    norms = _norms(emb.ambient, r @ np.hstack([one_n, comp_cols]) - np.hstack([one_m, fs_ambient.matrix]))
+    return float(choi_floor), float(norms[0]), float(np.max(norms[1:], initial=0.0))
+
+
+def _sampled_defects(basis, compressed, levels: int, samples: int, seed: int) -> dict:
+    """Largest relative norm defect of compression on samples of M_k(M^alpha), per level k = 1..levels.
+
+    Samples random complex combinations sum_j kron(C_j, b_j) over the
+    ambient fixed basis and compares amplified operator norms before and
+    after compression.  Each level draws, amplifies and takes norms of all
+    its samples at once.
+    """
+    rng = np.random.default_rng(seed)
+    level_defects = {}
+    for k in range(1, levels + 1):
+        # the numbers random_complex(rng, k, k) draws per sample and basis element, in its order
+        g = rng.standard_normal((samples, len(basis), 2, k, k))
+        coeffs = (g[:, :, 0] + 1j * g[:, :, 1]) / np.sqrt(2.0)
+        nx = np.max([op_norm(b) for b in amplify_combination(coeffs, basis)], axis=0)
+        nex = np.max([op_norm(b) for b in amplify_combination(coeffs, compressed)], axis=0)
+        level_defects[k] = float(np.max(np.abs(nx - nex) / np.maximum(1.0, nx), initial=0.0))
+    return level_defects
 
 
 def check_complete_isometry(
@@ -406,38 +462,42 @@ def check_complete_isometry(
     fs_ambient: FixedSpace | None = None,
     fs_corner: FixedSpace | None = None,
 ) -> IsometryReport:
-    """Norm defect of entrywise compression on M_k(M^alpha), k = 1..levels.
+    """Decide whether compression E(x) = pxp is a complete isometry M^alpha -> N^phi.
 
-    Samples random complex combinations sum_j kron(C_j, b_j) over the
-    ambient fixed basis and compares amplified operator norms before and
-    after compression; also verifies that compression restricted to
-    M^alpha is a linear bijection onto N^phi.  Each level draws, amplifies
-    and takes norms of all its samples at once.
+    First it checks that E restricted to M^alpha is a linear bijection
+    onto N^phi, and builds the paper's left inverse R = rho_alpha o inject.
+    If R is CP, unital and inverts E on M^alpha, all within tol, then for
+    every matrix level k, ||x||_k = ||R_k E_k x|| <= ||E_k x|| <= ||x||_k,
+    since a unital CP map is completely contractive: the certificate
+    passes and nothing is sampled.  Otherwise `levels`, `samples` and
+    `seed` size a sampled check of the norms on M_k(M^alpha),
+    k = 1..levels.  A non-minimal instance has a nonzero fixed q with
+    pqp = 0, so E is not injective there and the sampled check fails: the
+    certificate only ever decides instances the sampled check passes.
     """
     if fs_ambient is None:
         fs_ambient = fixed_space(instance.alpha)
     if fs_corner is None:
         fs_corner = fixed_space(instance.phi)
-    rng = np.random.default_rng(seed)
-    compressed = [compress(instance.emb, b) for b in fs_ambient.basis]
     if fs_ambient.dimension == 0:
         bijective = fs_corner.dimension == 0
         return IsometryReport(
-            0, fs_corner.dimension, 0, bijective, {}, 0.0, bijective, seed, note="trivial fixed space"
+            0, fs_corner.dimension, 0, bijective, {}, 0.0, bijective, seed, "trivial", None, None, None,
+            note="trivial fixed space",
         )
-    comp_cols = np.column_stack([c.coords() for c in compressed])
+    comp_cols = _compressed(instance.emb, fs_ambient.matrix)
     sv = np.linalg.svd(comp_cols, compute_uv=False)
     rank = int(np.sum(sv > 1e-10 * max(1.0, sv[0])))
     bijective = rank == fs_ambient.dimension == fs_corner.dimension
-    level_defects = {}
-    for k in range(1, levels + 1):
-        # the numbers random_complex(rng, k, k) draws per sample and basis element, in its order
-        g = rng.standard_normal((samples, fs_ambient.dimension, 2, k, k))
-        coeffs = (g[:, :, 0] + 1j * g[:, :, 1]) / np.sqrt(2.0)
-        nx = np.max([op_norm(b) for b in amplify_combination(coeffs, fs_ambient.basis)], axis=0)
-        nex = np.max([op_norm(b) for b in amplify_combination(coeffs, compressed)], axis=0)
-        level_defects[k] = float(np.max(np.abs(nx - nex) / np.maximum(1.0, nx), initial=0.0))
-    worst = max(level_defects.values(), default=0.0)
+    choi_floor, unit_defect, left_defect = _left_inverse_residuals(instance, fs_ambient, comp_cols)
+    if bijective and choi_floor >= -tol and unit_defect <= tol and left_defect <= tol:
+        route, level_defects = "certificate", {}
+        worst = max(-choi_floor, unit_defect, left_defect, 0.0)
+    else:
+        route = "sampled"
+        compressed = [compress(instance.emb, b) for b in fs_ambient.basis]
+        level_defects = _sampled_defects(fs_ambient.basis, compressed, levels, samples, seed)
+        worst = max(level_defects.values(), default=0.0)
     return IsometryReport(
         fs_ambient.dimension,
         fs_corner.dimension,
@@ -447,6 +507,10 @@ def check_complete_isometry(
         float(worst),
         bool(bijective and worst <= tol),
         seed,
+        route,
+        choi_floor,
+        unit_defect,
+        left_defect,
     )
 
 
@@ -728,7 +792,7 @@ def property_suite(
     if instance is not None:
         verdict = check_minimality(instance.alpha, instance.p)
         minimal = verdict.status is Minimality.MINIMAL
-        note = "" if minimal else "minimality not established; lifting identity expected to fail"
+        note = "" if minimal else "minimality check: instance is non-minimal; lifting identity expected to fail"
         fs_ambient = fixed_space(instance.alpha)
 
         if fs_ambient.dimension == 0:

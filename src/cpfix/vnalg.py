@@ -115,7 +115,7 @@ class AlgebraElement:
 
     def norm(self) -> float:
         """Operator norm of the block-diagonal embedding: max block norm."""
-        return max(op_norm(b) for b in self.blocks)
+        return float(_max_block_norm(self.blocks))
 
     def coords(self) -> np.ndarray:
         return np.concatenate([b.ravel() for b in self.blocks])
@@ -123,6 +123,18 @@ class AlgebraElement:
     def _same(self, other: "AlgebraElement"):
         if self.structure != other.structure:
             raise ShapeMismatch("elements live on different block structures")
+
+
+def _max_block_norm(blocks):
+    """The largest op_norm over a list of (..., n_i, n_i) block arrays, taken elementwise.
+
+    Blocks of one size go through one stacked op_norm, whose Gram/eigvalsh
+    formula gives each matrix the value of its own op_norm call.
+    """
+    by_size: dict = {}
+    for b in blocks:
+        by_size.setdefault(b.shape[-1], []).append(b)
+    return np.max([np.max(op_norm(np.stack(group)), axis=0) for group in by_size.values()], axis=0)
 
 
 def identity_element(structure: BlockStructure) -> AlgebraElement:
@@ -278,7 +290,7 @@ def _product(structure: BlockStructure, a: np.ndarray, b: np.ndarray) -> np.ndar
 
 def _norms(structure: BlockStructure, v: np.ndarray) -> np.ndarray:
     """AlgebraElement.norm of every column: its largest block operator norm."""
-    return np.max([op_norm(b) for b in _blocks(structure, v)], axis=0)
+    return _max_block_norm(_blocks(structure, v))
 
 
 def _combos(matrix: np.ndarray, g: np.ndarray) -> np.ndarray:

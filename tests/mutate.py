@@ -13,7 +13,7 @@ pass.  The repository itself is never modified.
     python tests/mutate.py --list
 
 The exit status is 0 when exactly the known survivors survive, else 1.
-The test suite does not run this script; a full run takes about 25 s on two cores.
+The test suite does not run this script; a full run takes about 35 s on two cores.
 """
 
 from __future__ import annotations
@@ -70,6 +70,15 @@ MUTANTS = {
         THETA,
         [("for gen in self.generators:\n            theta = gen.superop @ theta",
           "for gen in self.generators[:1]:\n            theta = gen.superop @ theta")],
+    ),
+    "isometry-unit-defect-dropped": (
+        FIXPOINT,
+        [("choi_floor >= -tol and unit_defect <= tol and left_defect <= tol",
+          "choi_floor >= -tol and left_defect <= tol")],
+    ),
+    "isometry-choi-floor-skipped": (
+        FIXPOINT,
+        [("choi_floor = choi_min_eig(r, emb.ambient, emb.corner)", "choi_floor = 0.0")],
     ),
     "monotone-net-constant-worst": (
         FIXPOINT,

@@ -229,18 +229,24 @@ def test_suite_checks_the_reports_rho(tmp_path, monkeypatch):
     assert rep["exit_code"] == 0
 
 
-def test_loose_convergence_tol_is_an_ergodic_projection_error(tmp_path):
+def test_loose_convergence_tol_is_an_ergodic_projection_error(tmp_path, monkeypatch):
     # fixed_space keeps FIXED_TOL, so a loose convergence_tol cannot shift rho's rank off the
     # fixed-space dimension; rho built at 1e-2 fails its intertwining check instead
     path = tmp_path / "leaky.json"
     data = cmd_demo("leaky-damping", {"c": "0.999", "s": "0.03"}, str(path))
     data["config"] = {"convergence_tol": 1e-2}
     path.write_text(json.dumps(data))
+    counts = count_calls(monkeypatch, ("fixpoint.ErgodicProjection",))
     rep = cmd_analyze(str(path))
     by_task = {e["task"]: e for e in rep["entries"]}
+    note = by_task["ergodic_projection"]["note"]
     assert by_task["ergodic_projection"]["status"] == "ERROR"
-    assert "failed intertwine_left check" in by_task["ergodic_projection"]["note"]
+    assert "failed intertwine_left check" in note
     assert rep["exit_code"] == 2
+    # the suite fails the rows that need rho with the report's error, and builds no rho of its own
+    for task in ("suite:limit_vs_mean", "suite:choi_effros", "suite:vector_bound"):
+        assert (by_task[task]["status"], by_task[task]["note"]) == ("FAIL", note)
+    assert counts["fixpoint.ErgodicProjection"] == 0
 
 
 def test_unknown_demo_family(tmp_path):

@@ -41,6 +41,7 @@ from cpfix.dilation import (
 from cpfix.fixpoint import (
     FixedSpace,
     _orthonormal_columns,
+    _sampled_defects,
     check_complete_isometry,
     cstar_closure,
     ergodic_projection,
@@ -311,8 +312,10 @@ def test_complete_isometry_tail_shift():
     inst = build_tail_shift(2, 2, PAULI_X)
     rep = check_complete_isometry(inst, levels=3, samples=50, seed=0)
     assert rep.passed and rep.bijective
+    assert rep.route == "certificate" and rep.level_defects == {}
     assert rep.dim_ambient_fixed == rep.dim_corner_fixed == 2
     assert rep.max_defect <= 1e-8
+    assert rep.max_defect == max(-rep.choi_floor, rep.unit_defect, rep.left_inverse_defect, 0.0)
     # x = (X, X, X) compresses to X with equal norms
     x = AlgebraElement(inst.structure, (PAULI_X, PAULI_X, PAULI_X))
     assert abs(x.norm() - 1.0) < 1e-12
@@ -342,6 +345,12 @@ def looped_isometry_defects(inst, levels, samples, seed):
     return defects
 
 
+def sampled_defects(inst, levels, samples, seed):
+    """The sampled levels of check_complete_isometry, whatever route the check itself takes."""
+    basis = fixed_space(inst.alpha).basis
+    return _sampled_defects(basis, [compress(inst.emb, b) for b in basis], levels, samples, seed)
+
+
 def nonminimal_identity_instance():
     st = BlockStructure((2, 2))
     alpha = make_family([identity_map(st)], expect_endomorphic=True)
@@ -353,14 +362,76 @@ def test_complete_isometry_matches_looped_reference():
     minimal = build_tail_shift(2, 3, np.diag([1.0, np.exp(0.9j)]))
     nonminimal = nonminimal_identity_instance()
     for inst in (minimal, nonminimal):
-        rep = check_complete_isometry(inst, levels=3, samples=40, seed=5)
+        got = sampled_defects(inst, levels=3, samples=40, seed=5)
         ref = looped_isometry_defects(inst, levels=3, samples=40, seed=5)
-        assert set(rep.level_defects) == set(ref) == {1, 2, 3}
+        assert set(got) == set(ref) == {1, 2, 3}
         for k in ref:
-            assert abs(rep.level_defects[k] - ref[k]) <= 1e-12
+            assert abs(got[k] - ref[k]) <= 1e-12
+    assert max(sampled_defects(minimal, 3, 40, 5).values()) <= 1e-12
+    rep = check_complete_isometry(nonminimal, levels=3, samples=40, seed=5)
+    assert rep.route == "sampled" and rep.level_defects == sampled_defects(nonminimal, 3, 40, 5)
     assert rep.dim_ambient_fixed == 8 and rep.dim_corner_fixed == rep.compression_rank == 4
     assert rep.passed is False and rep.bijective is False
     assert all(defect > 1e-3 for defect in rep.level_defects.values())
+    # rho_alpha is the identity, so R = inject: CP, but R(1_N) = p and R E (1 - p) = 0
+    assert (rep.choi_floor, rep.unit_defect, rep.left_inverse_defect) == (0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_certificate_verdict_equals_sampled_verdict(d):
+    """On random dilations and both controls the certificate decides as the sampled levels do."""
+    cases = [build_random_instance(seed, d=d) for seed in range(40)]
+    cases += [nonminimal_identity_instance(), build_tail_shift(2, 2, PAULI_X)]
+    routes = set()
+    for inst in cases:
+        rep = check_complete_isometry(inst, levels=3, samples=30, seed=1)
+        sampled = max(sampled_defects(inst, 3, 30, 1).values())
+        assert rep.passed == (rep.bijective and sampled <= 1e-8)
+        if rep.route == "certificate":
+            assert sampled <= 1e-8
+            assert rep.choi_floor >= -1e-8 and rep.unit_defect <= 1e-8 and rep.left_inverse_defect <= 1e-8
+        routes.add(rep.route)
+    assert routes == {"certificate", "sampled"}
+
+
+def transpose_instance():
+    """M_2 with p = 1, under a generator whose superoperator is the transpose: positive, not CP.
+
+    M^alpha is the symmetric matrices and E is the identity, so the sampled
+    levels pass, but R = rho_alpha = (id + transpose)/2 has Choi floor -1/2.
+    """
+    eye = np.eye(2, dtype=complex)
+    alpha = make_family([identity_map(M2)], expect_endomorphic=True)
+    inst = make_instance(alpha, AlgebraElement(M2, (eye,)))
+    transpose = identity_map(M2)
+    vars(transpose)["superop"] = np.eye(4)[[0, 2, 1, 3]].astype(complex)
+    fake = SemigroupFamily(M2, (transpose,), is_endomorphic=True)
+    return DilationInstance(M2, fake, inst.p, inst.emb, fake)
+
+
+def nonunital_instance():
+    """alpha(x_0, x_1) = (x_0, 0) on C + C with p = (1, 0): minimal, and E is bijective and isometric.
+
+    R inverts E on M^alpha = C + 0 and is CP, but R(1_N) = p: the unit
+    defect alone fails.
+    """
+    st = BlockStructure((1, 1))
+    alpha = make_family([cp_map(st, st, {(0, 0): [np.eye(1)]})], expect_endomorphic=True)
+    return make_instance(alpha, AlgebraElement(st, (np.eye(1), np.zeros((1, 1)))))
+
+
+@pytest.mark.parametrize(
+    "build, residuals",
+    [(transpose_instance, (-0.5, 0.0, 0.0)), (nonunital_instance, (0.0, 1.0, 0.0))],
+)
+def test_one_failed_residual_falls_back_to_sampling(build, residuals):
+    inst = build()
+    rep = check_complete_isometry(inst, levels=2, samples=20, seed=0)
+    got = (rep.choi_floor, rep.unit_defect, rep.left_inverse_defect)
+    assert np.allclose(got, residuals, atol=1e-12)
+    assert rep.bijective and rep.route == "sampled"
+    assert rep.passed and set(rep.level_defects) == {1, 2}
+    assert rep.max_defect == max(rep.level_defects.values()) <= 1e-12
 
 
 def test_kernel_ideal_trivial_models():
@@ -650,7 +721,7 @@ def looped_suite(obj, rng, samples, mono_steps=10, s_max=10):
 
     if instance is not None:
         minimal = check_minimality(instance.alpha, instance.p).status is Minimality.MINIMAL
-        base = "" if minimal else "minimality not established; lifting identity expected to fail"
+        base = "" if minimal else "minimality check: instance is non-minimal; lifting identity expected to fail"
         fs_ambient = fixed_space(instance.alpha)
         for key, basis, structure, threshold in (
             ("lift_identity", fs_ambient.matrix, instance.structure, 1e-8),

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpfix.errors import NotProjection, ShapeMismatch
 from cpfix.matcore import op_norm, random_complex, random_unitary
 from cpfix.vnalg import (
     AlgebraElement,
     BlockStructure,
+    _blocks,
+    _norms,
     amplify_combination,
     compress,
     corner,
@@ -189,3 +193,21 @@ def test_shape_mismatch():
         elem(st, np.eye(3))
     with pytest.raises(ShapeMismatch):
         identity_element(st) + identity_element(other)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(2, 3, 2, 3), (1, 4, 1), (3,), (2, 2, 1, 3, 2)]),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_block_norms_equal_the_per_block_loop(dims, columns, seed):
+    """One stacked op_norm per block size gives bit for bit the norms of one op_norm per block."""
+    structure = BlockStructure(dims)
+    rng = np.random.default_rng(seed)
+    v = random_complex(rng, structure.coord_dim, columns)
+    looped = np.max([op_norm(b) for b in _blocks(structure, v)], axis=0)
+    assert np.array_equal(_norms(structure, v), looped)
+    for j in range(columns):
+        x = element_from_coords(structure, v[:, j])
+        assert x.norm() == max(op_norm(b) for b in x.blocks) == looped[j]
