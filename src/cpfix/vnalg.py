@@ -115,7 +115,7 @@ class AlgebraElement:
 
     def norm(self) -> float:
         """Operator norm of the block-diagonal embedding: max block norm."""
-        return float(_max_block_norm(self.blocks))
+        return float(max(_norms_by_size(self.blocks)))
 
     def coords(self) -> np.ndarray:
         return np.concatenate([b.ravel() for b in self.blocks])
@@ -125,16 +125,17 @@ class AlgebraElement:
             raise ShapeMismatch("elements live on different block structures")
 
 
-def _max_block_norm(blocks):
-    """The largest op_norm over a list of (..., n_i, n_i) block arrays, taken elementwise.
+def _norms_by_size(blocks) -> list:
+    """The largest op_norm among blocks of each size, for a list of (..., n_i, n_i) block arrays.
 
     Blocks of one size go through one stacked op_norm, whose Gram/eigvalsh
-    formula gives each matrix the value of its own op_norm call.
+    formula gives each matrix the value of its own op_norm call; a size
+    with one block takes that call itself.
     """
     by_size: dict = {}
     for b in blocks:
         by_size.setdefault(b.shape[-1], []).append(b)
-    return np.max([np.max(op_norm(np.stack(group)), axis=0) for group in by_size.values()], axis=0)
+    return [op_norm(g[0]) if len(g) == 1 else np.max(op_norm(np.stack(g)), axis=0) for g in by_size.values()]
 
 
 def identity_element(structure: BlockStructure) -> AlgebraElement:
@@ -290,7 +291,7 @@ def _product(structure: BlockStructure, a: np.ndarray, b: np.ndarray) -> np.ndar
 
 def _norms(structure: BlockStructure, v: np.ndarray) -> np.ndarray:
     """AlgebraElement.norm of every column: its largest block operator norm."""
-    return _max_block_norm(_blocks(structure, v))
+    return np.max(_norms_by_size(_blocks(structure, v)), axis=0)
 
 
 def _combos(matrix: np.ndarray, g: np.ndarray) -> np.ndarray:
