@@ -41,7 +41,8 @@ def _cached_on_argument(fn):
 
     def result(value):
         if isinstance(value, CpfixError):
-            raise value
+            # a fresh traceback per later raise, so the remembered error does not accumulate frames
+            raise value.with_traceback(None)
         return value
 
     @wraps(fn)
@@ -55,6 +56,7 @@ def _cached_on_argument(fn):
                 memo[key] = fn(obj, *args, **kwargs)
             except CpfixError as exc:
                 memo[key] = exc
+                raise
         return result(memo[key])
 
     def built_or_default(obj):

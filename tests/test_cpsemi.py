@@ -1,10 +1,13 @@
+import traceback
+
 import numpy as np
 import pytest
 
-from cpfix.errors import InvalidFamily
+from cpfix.errors import CpfixError, InvalidFamily
 from cpfix.matcore import is_psd, op_norm, random_unitary
 from cpfix.vnalg import AlgebraElement, BlockStructure, element_from_coords, random_element
 from cpfix.cpsemi import (
+    _cached_on_argument,
     apply,
     apply_power,
     compose,
@@ -253,3 +256,21 @@ def test_unital_weakstar_note():
     # the unitality flag that the contractivity order argument uses
     rep = validate_cp(rotation_family().generators[0])
     assert rep.is_unital
+
+
+def test_memo_remembers_a_raised_error():
+    calls = []
+
+    @_cached_on_argument
+    def failing(obj, tol=1e-3):
+        calls.append(tol)
+        raise CpfixError(f"failed at {tol:g}")
+
+    obj = SemigroupFamily(BlockStructure((1,)), ())
+    depths = []
+    for get in (lambda: failing(obj, tol=1e-2), lambda: failing(obj, tol=1e-2), lambda: failing.built_or_default(obj)):
+        with pytest.raises(CpfixError, match="failed at 0.01") as info:
+            get()
+        depths.append(len(traceback.extract_tb(info.value.__traceback__)))
+    assert calls == [1e-2]  # computed once; built_or_default re-raises instead of building at the default
+    assert depths[1] == depths[2] <= depths[0]  # each raise starts a fresh traceback
