@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -50,7 +49,6 @@ from .dilation import (
     tail_shift_map,
 )
 from .fixpoint import (
-    MAX_ITER,
     cstar_closure,
     check_complete_isometry,
     ergodic_projection,
@@ -67,18 +65,11 @@ FILE_VERSION = "cpfix-1"
 
 @dataclass(frozen=True)
 class Config:
-    """Centralized tolerances, caps and sampling defaults."""
+    """Sampling sizes and seed; every tolerance and cap is a constant of `fixpoint`."""
 
-    tol_eq: float = 1e-8
-    convergence_tol: float = 1e-10
-    psd_floor: float = 1e-9
-    max_iter: int = MAX_ITER
-    cesaro_cap: int = 10**6
     levels: int = 3
     samples: int = 100
     seed: int = 0
-    mono_steps: int = 10
-    s_max: int = 10
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
@@ -87,16 +78,10 @@ class Config:
             raise ParseError(f"unknown config keys: {sorted(unknown)}")
         values = {}
         for key, value in data.items():
-            integral = isinstance(getattr(cls, key), int)
-            if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
-                raise ParseError(f"config {key}: expected {'an integer' if integral else 'a number'}, got {value!r}")
-            if not integral:
-                try:
-                    value = float(value)
-                except OverflowError:
-                    value = math.inf
-            # seed, s_max and psd_floor may be zero; every other field must be positive
-            if not (value >= 0 if key in ("seed", "s_max", "psd_floor") else value > 0) or value == math.inf:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ParseError(f"config {key}: expected an integer, got {value!r}")
+            # seed may be zero; levels and samples must be positive
+            if not (value >= 0 if key == "seed" else value > 0):
                 raise ParseError(f"config {key}: value {value!r} is out of range")
             values[key] = value
         return cls(**values)
@@ -381,11 +366,11 @@ def _checked_family(problem: Problem, require_endomorphic: bool = False) -> Semi
     return family
 
 
-def _run_phi_limit_task(task: dict, family: SemigroupFamily, cfg: Config) -> dict:
+def _run_phi_limit_task(task: dict, family: SemigroupFamily) -> dict:
     name = f"task:{task['name']}"
     x = decode_element(family.structure, task["element"], task["name"])
     try:
-        result = phi_limit(family, x, tol=cfg.convergence_tol, max_iter=cfg.max_iter)
+        result = phi_limit(family, x)
         outcome = "converges"
         resid = {"limit_norm": result.norm()}
     except Divergent as exc:
@@ -411,7 +396,7 @@ def cmd_analyze(path: str, overrides: dict | None = None) -> dict:
     entries.append(entry("cstar_span", "PASS", {"dimension": cs.dimension, "is_unital": cs.is_unital}))
     extras["fixed_basis"] = [encode_element(b) for b in fs.basis]
     try:
-        erg = ergodic_projection(family, tol=cfg.convergence_tol, cesaro_cap=cfg.cesaro_cap)
+        erg = ergodic_projection(family)
         entries.append(
             entry(
                 "ergodic_projection",
@@ -442,21 +427,13 @@ def cmd_analyze(path: str, overrides: dict | None = None) -> dict:
                 krep.note,
             )
         )
-    suite = property_suite(
-        family,
-        seed=cfg.seed,
-        samples=cfg.samples,
-        mono_steps=cfg.mono_steps,
-        s_max=cfg.s_max,
-        psd_floor=cfg.psd_floor,
-        tol_eq=cfg.tol_eq,
-    )
+    suite = property_suite(family, seed=cfg.seed, samples=cfg.samples)
     for key, item in suite.items.items():
         entries.append(entry(f"suite:{key}", item.status, {"worst": item.worst, "threshold": item.threshold}, item.note))
     for task in problem.tasks:
         if task["op"] != "phi_limit":
             raise ParseError(f"task {task['name']!r}: op {task['op']!r} needs a dilation file")
-        entries.append(_run_phi_limit_task(task, family, cfg))
+        entries.append(_run_phi_limit_task(task, family))
     rep = make_report("analyze", cfg, entries, extras)
     rep["_t0"] = t0
     return rep
@@ -494,7 +471,7 @@ def cmd_dilation(path: str, overrides: dict | None = None) -> dict:
     )
     if verdict.limit is not None:
         extras["minimality_limit"] = encode_element(verdict.limit)
-    iso = check_complete_isometry(instance, levels=cfg.levels, samples=cfg.samples, seed=cfg.seed, tol=cfg.tol_eq)
+    iso = check_complete_isometry(instance, levels=cfg.levels, samples=cfg.samples, seed=cfg.seed)
     entries.append(
         entry(
             "complete_isometry",
@@ -513,8 +490,6 @@ def cmd_dilation(path: str, overrides: dict | None = None) -> dict:
         )
     )
     try:
-        # kernel_ideal_check and the suite take the rho built here at the config's tolerances
-        ergodic_projection(instance.phi, tol=cfg.convergence_tol, cesaro_cap=cfg.cesaro_cap)
         krep = kernel_ideal_check(instance.phi, seed=cfg.seed)
         entries.append(
             entry(
@@ -526,29 +501,21 @@ def cmd_dilation(path: str, overrides: dict | None = None) -> dict:
         )
     except CpfixError as exc:
         entries.append(entry("kernel_ideal", "ERROR", {}, str(exc)))
-    suite = property_suite(
-        instance,
-        seed=cfg.seed,
-        samples=cfg.samples,
-        mono_steps=cfg.mono_steps,
-        s_max=cfg.s_max,
-        psd_floor=cfg.psd_floor,
-        tol_eq=cfg.tol_eq,
-    )
+    suite = property_suite(instance, seed=cfg.seed, samples=cfg.samples)
     for key, item in suite.items.items():
         entries.append(entry(f"suite:{key}", item.status, {"worst": item.worst, "threshold": item.threshold}, item.note))
     for task in problem.tasks:
         name = f"task:{task['name']}"
         if task["op"] == "phi_limit":
-            entries.append(_run_phi_limit_task(task, instance.phi, cfg))
+            entries.append(_run_phi_limit_task(task, instance.phi))
             continue
         y = decode_element(instance.emb.corner, task["element"], task["name"])
         try:
             if task["op"] == "pi_limit":
-                w = pi_limit(instance, y, tol=cfg.convergence_tol, max_iter=cfg.max_iter)
+                w = pi_limit(instance, y)
                 entries.append(entry(name, "PASS", {"limit_norm": w.norm()}, "outcome: converges"))
             else:
-                z = lift_fixed_point(instance, y, tol=cfg.convergence_tol)
+                z = lift_fixed_point(instance, y)
                 entries.append(entry(name, "PASS", {"lift_norm": z.norm()}, "outcome: lifted"))
         except CpfixError as exc:
             outcome = "diverges" if isinstance(exc, (Divergent, NotInCStar)) else "error"

@@ -33,9 +33,6 @@ def _cached_on_argument(fn):
     Families, fixed spaces and elements are immutable, so a result computed
     once serves every later call with the same arguments.  A CpfixError
     that fn raised is remembered too, and raised again by those calls.
-    `fn.built_or_default(obj)` returns the oldest result of fn already
-    computed on obj, whatever its arguments, or raises its remembered
-    error; if there is none, it returns fn(obj) at the defaults.
     """
     signature = inspect.signature(fn)
 
@@ -59,13 +56,6 @@ def _cached_on_argument(fn):
                 raise
         return result(memo[key])
 
-    def built_or_default(obj):
-        for key, value in vars(obj).get("_derived", {}).items():
-            if key[0] == fn.__name__:
-                return result(value)
-        return cached(obj)
-
-    cached.built_or_default = built_or_default
     return cached
 
 

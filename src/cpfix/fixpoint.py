@@ -41,22 +41,26 @@ from .vnalg import (
     identity_element,
     inject,
 )
-from .cpsemi import SemigroupFamily, _cached_on_argument, apply, choi_min_eig, validate_cp
+from .cpsemi import SemigroupFamily, _cached_on_argument, choi_min_eig, validate_cp
 from .dilation import DilationInstance, Minimality, check_minimality
 
 FIXED_TOL = 1e-10
 SPAN_TOL = 1e-8
+CESARO_CAP = 10**6  # terms of the Cesaro average that ergodic_projection compares with rho
 # the diagonal limits stop at the first increment below `STEP_TOL`, within
-# `MAX_ITER.bit_length()` = 20 squarings of theta and never more than 40: past
-# k = 45, rounding in theta^(2^k) can square a unit-modulus eigenvalue towards 0
+# DOUBLINGS squarings of theta (2^20 - 1 steps); the budget stays far below 40
+# squarings, past which rounding can take a unit-modulus eigenvalue of theta to 0
 STEP_TOL = 1e-10
-MAX_ITER = 10**6
-MAX_DOUBLINGS = 40
+DOUBLINGS = 20
 STALLED = "iteration stalled off the fixed space"
-# property-suite thresholds no report sets
+EQ_TOL = 1e-8  # the complete isometry and lift_identity
+# property-suite thresholds
+PSD_FLOOR = 1e-9  # kadison_schwarz and monotone_net
 LIMIT_TOL = 1e-7  # limit_vs_mean and factorization
 CHOI_EFFROS_TOL = 1e-9
 VECTOR_TOL = 1e-9
+MONO_STEPS = 10  # diagonal steps of the monotone net
+S_MAX = 10  # largest power of each generator in the vector bound
 # random combinations of fixed-basis elements that join the basis as ideal generators
 EXTRA_GENERATORS = 8
 
@@ -118,11 +122,9 @@ def fixed_space(family: SemigroupFamily) -> FixedSpace:
     stacked = np.vstack([g.superop - eye for g in family.generators])
     cols = nullspace(stacked, FIXED_TOL)
     cols = _hermitian_basis(st, cols)
+    if np.any(_norms(st, np.hstack([g.superop @ cols - cols for g in family.generators])) > 1e-8):
+        raise NoConvergence("fixed-space basis fails the defining equation")
     basis = tuple(element_from_coords(st, cols[:, k]) for k in range(cols.shape[1]))
-    for b in basis:
-        for gen in family.generators:
-            if (apply(gen, b) - b).norm() > 1e-8:
-                raise NoConvergence("fixed-space basis fails the defining equation")
     return FixedSpace(st, basis, cols)
 
 
@@ -177,7 +179,7 @@ class ErgodicProjection:
         return int(round(np.trace(self.matrix).real))
 
 
-def _mean_projection(s: np.ndarray, tol: float) -> tuple[np.ndarray, dict]:
+def _mean_projection(s: np.ndarray) -> tuple[np.ndarray, dict]:
     """Cesaro limit of averages of powers of a power-bounded superoperator.
 
     The limit is the projection onto ker(1 - S) along ran(1 - S); both
@@ -186,7 +188,7 @@ def _mean_projection(s: np.ndarray, tol: float) -> tuple[np.ndarray, dict]:
     tail of literal averaging.
     """
     d = s.shape[0]
-    left, right = nullspace_pair(np.eye(d) - s, tol)
+    left, right = nullspace_pair(np.eye(d) - s, FIXED_TOL)
     r = right.shape[1]
     diag = {"fixed_dim": int(r)}
     if r == 0:
@@ -200,13 +202,13 @@ def _mean_projection(s: np.ndarray, tol: float) -> tuple[np.ndarray, dict]:
     return p, diag
 
 
-def _cesaro_check(s: np.ndarray, p: np.ndarray, cap: int) -> dict:
-    """Doubling Cesaro averages A_{2N} = (A_N + S^N A_N)/2 up to `cap` terms."""
+def _cesaro_check(s: np.ndarray, p: np.ndarray) -> dict:
+    """Doubling Cesaro averages A_{2N} = (A_N + S^N A_N)/2 up to CESARO_CAP terms."""
     avg = np.eye(s.shape[0], dtype=complex)
     pw = s.copy()
     terms, steps = 1, 0
     increment = 0.0
-    while 2 * terms <= cap:
+    while 2 * terms <= CESARO_CAP:
         nxt = 0.5 * (avg + pw @ avg)
         increment = op_norm(nxt - avg)
         avg = nxt
@@ -222,11 +224,7 @@ def _cesaro_check(s: np.ndarray, p: np.ndarray, cap: int) -> dict:
 
 
 @_cached_on_argument
-def ergodic_projection(
-    family: SemigroupFamily,
-    tol: float = FIXED_TOL,
-    cesaro_cap: int = 10**6,
-) -> ErgodicProjection:
+def ergodic_projection(family: SemigroupFamily) -> ErgodicProjection:
     """rho = P_1 ... P_d, the product of per-generator mean projections.
 
     Each P_i is a limit of polynomials in the i-th generator, so the
@@ -241,8 +239,8 @@ def ergodic_projection(
         if not rep.is_contractive:
             raise NotContractive(f"generator {idx} has phi(1) > 1 (floor {rep.contractive_floor:g})")
         s = gen.superop
-        p, diag = _mean_projection(s, tol)
-        diag.update(_cesaro_check(s, p, cesaro_cap))
+        p, diag = _mean_projection(s)
+        diag.update(_cesaro_check(s, p))
         diag["generator"] = idx
         per_gen.append(diag)
         projs.append((s, p))
@@ -279,86 +277,69 @@ def ergodic_projection(
     return ErgodicProjection(st, rho, diagnostics)
 
 
-def _diagonal_limits(family: SemigroupFamily, v: np.ndarray, stalled: str, tol=STEP_TOL, max_iter=MAX_ITER):
+def _diagonal_limits(family: SemigroupFamily, v: np.ndarray, stalled: str):
     """lim_s beta_s of every column of a (D, S) coordinate block, by repeated squaring of theta.
 
     Doubling k steps each live column by theta^(2^k), 2^k - 1 steps in all
-    after k doublings.  A column stops at its first increment <= tol: once
-    2^k is past 1/gap that bounds the error, but a part that moves less than
-    tol per step stops it at once, off by up to tol/gap.  A column that never
-    stops within min(max_iter.bit_length(), MAX_DOUBLINGS) doublings, or whose
-    increment overflows, diverges; so does a limit that a generator moves.
+    after k doublings.  A column stops at its first increment <= STEP_TOL:
+    once 2^k is past 1/gap that bounds the error, but a part that moves less
+    than STEP_TOL per step stops it at once, off by up to STEP_TOL/gap.  A
+    column that never stops within DOUBLINGS doublings, or whose increment
+    overflows, diverges; so does a limit that a generator moves.
     Returns the limits and, per column, a Divergent (`stalled` for a moved limit) or None.
     """
     v = np.array(v, dtype=complex)
     live = np.arange(v.shape[1])  # the columns still iterating, held compactly in w
     w, last = v, np.full(v.shape[1], np.inf)
-    doublings = min(max_iter.bit_length(), MAX_DOUBLINGS)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(doublings):
+        for k in range(DOUBLINGS):
             if live.size == 0:
                 break
             nxt = family.theta_square(k) @ w
             inc = np.linalg.norm(nxt - w, axis=0)
             last[live] = inc
-            done = inc <= tol
+            done = inc <= STEP_TOL
             v[:, live[done]] = nxt[:, done]
             going = ~done & np.isfinite(inc)
             live, w = live[going], nxt[:, going]
     # row 0: the norm of each limit; row 1 + i: the norm of its defect under generator i, all in one _norms
     norms = _norms(family.structure, np.hstack([v] + [g.superop @ v - v for g in family.generators]))
     norms = norms.reshape(1 + family.rank, v.shape[1])
-    off = np.any(norms[1:] > 10.0 * tol * np.maximum(1.0, norms[0]), axis=0)
+    off = np.any(norms[1:] > 10.0 * STEP_TOL * np.maximum(1.0, norms[0]), axis=0)
     errors = [Divergent(stalled) if o else None for o in off]
-    for j in np.flatnonzero(~(last <= tol)):
-        errors[j] = Divergent(f"no convergence within {2**doublings - 1} steps (last increment {last[j]:g})")
+    for j in np.flatnonzero(~(last <= STEP_TOL)):
+        errors[j] = Divergent(f"no convergence within {2**DOUBLINGS - 1} steps (last increment {last[j]:g})")
     return v, errors
 
 
-def _limit(family: SemigroupFamily, x: AlgebraElement, stalled: str, tol: float, max_iter: int) -> AlgebraElement:
+def _limit(family: SemigroupFamily, x: AlgebraElement, stalled: str) -> AlgebraElement:
     """The diagonal limit of one element, or the Divergent of its column."""
-    v, (error,) = _diagonal_limits(family, x.coords()[:, None], stalled, tol, max_iter)
+    v, (error,) = _diagonal_limits(family, x.coords()[:, None], stalled)
     if error is not None:
         raise error
     return element_from_coords(family.structure, v[:, 0])
 
 
-def phi_limit(
-    family: SemigroupFamily,
-    y: AlgebraElement,
-    tol: float = STEP_TOL,
-    max_iter: int = MAX_ITER,
-) -> AlgebraElement:
+def phi_limit(family: SemigroupFamily, y: AlgebraElement) -> AlgebraElement:
     """Diagonal limit of phi_s(y); guaranteed to exist on C*(N^phi).
 
     Raises Divergent when the orbit fails to stabilize, which signals
-    either y outside C*(N^phi) or a spectral gap too slow for max_iter.
+    either y outside C*(N^phi) or a spectral gap too slow for 2^DOUBLINGS - 1 steps.
     """
-    return _limit(family, y, STALLED, tol, max_iter)
+    return _limit(family, y, STALLED)
 
 
-def pi_limit(
-    instance: DilationInstance,
-    y: AlgebraElement,
-    tol: float = STEP_TOL,
-    max_iter: int = MAX_ITER,
-    cstar: CStarSpan | None = None,
-) -> AlgebraElement:
+def pi_limit(instance: DilationInstance, y: AlgebraElement, cstar: CStarSpan | None = None) -> AlgebraElement:
     """Diagonal limit of alpha_s(y) for y in C*(N^phi), landing in M^alpha."""
     if cstar is None:
         cstar = cstar_closure(fixed_space(instance.phi))
     gap = span_distance(cstar.matrix, y.coords())
     if gap > SPAN_TOL * max(1.0, y.norm()):
         raise NotInCStar(f"element is {gap:g} away from C*(N^phi); limit not guaranteed")
-    return _limit(instance.alpha, inject(instance.emb, y), "ambient " + STALLED, tol, max_iter)
+    return _limit(instance.alpha, inject(instance.emb, y), "ambient " + STALLED)
 
 
-def lift_fixed_point(
-    instance: DilationInstance,
-    y: AlgebraElement,
-    tol: float = 1e-10,
-    agreement_tol: float = 1e-7,
-) -> AlgebraElement:
+def lift_fixed_point(instance: DilationInstance, y: AlgebraElement, agreement_tol: float = 1e-7) -> AlgebraElement:
     """Lift y in N^phi to z in M^alpha with pzp = y, by two independent routes.
 
     Route one follows the diagonal alpha-limit of y inside M; route two
@@ -368,7 +349,7 @@ def lift_fixed_point(
     fs_corner = fixed_space(instance.phi)
     if span_distance(fs_corner.matrix, y.coords()) > SPAN_TOL * max(1.0, y.norm()):
         raise NotFixed("input is not in the fixed space of the compressed family")
-    z_pi = pi_limit(instance, y, tol=tol)
+    z_pi = pi_limit(instance, y)
     fs_ambient = fixed_space(instance.alpha)
     if fs_ambient.dimension == 0:
         raise NotFixed("ambient fixed space is trivial; nothing can compress to y")
@@ -424,7 +405,7 @@ def _left_inverse_residuals(instance: DilationInstance, fs_ambient: FixedSpace, 
     emb = instance.emb
     rho = np.eye(emb.ambient.coord_dim, dtype=complex)
     for gen in instance.alpha.generators:
-        rho = rho @ _mean_projection(gen.superop, FIXED_TOL)[0]
+        rho = rho @ _mean_projection(gen.superop)[0]
     r = rho @ _injected(emb, np.eye(emb.corner.coord_dim))
     choi_floor = choi_min_eig(r, emb.ambient, emb.corner)
     one_n, one_m = (identity_element(st).coords()[:, None] for st in (emb.corner, emb.ambient))
@@ -458,7 +439,6 @@ def check_complete_isometry(
     levels: int = 3,
     samples: int = 100,
     seed: int = 0,
-    tol: float = 1e-8,
     fs_ambient: FixedSpace | None = None,
     fs_corner: FixedSpace | None = None,
 ) -> IsometryReport:
@@ -466,7 +446,7 @@ def check_complete_isometry(
 
     First it checks that E restricted to M^alpha is a linear bijection
     onto N^phi, and builds the paper's left inverse R = rho_alpha o inject.
-    If R is CP, unital and inverts E on M^alpha, all within tol, then for
+    If R is CP, unital and inverts E on M^alpha, all within EQ_TOL, then for
     every matrix level k, ||x||_k = ||R_k E_k x|| <= ||E_k x|| <= ||x||_k,
     since a unital CP map is completely contractive: the certificate
     passes and nothing is sampled.  Otherwise `levels`, `samples` and
@@ -490,7 +470,7 @@ def check_complete_isometry(
     rank = int(np.sum(sv > 1e-10 * max(1.0, sv[0])))
     bijective = rank == fs_ambient.dimension == fs_corner.dimension
     choi_floor, unit_defect, left_defect = _left_inverse_residuals(instance, fs_ambient, comp_cols)
-    if bijective and choi_floor >= -tol and unit_defect <= tol and left_defect <= tol:
+    if bijective and choi_floor >= -EQ_TOL and unit_defect <= EQ_TOL and left_defect <= EQ_TOL:
         route, level_defects = "certificate", {}
         worst = max(-choi_floor, unit_defect, left_defect, 0.0)
     else:
@@ -505,7 +485,7 @@ def check_complete_isometry(
         bijective,
         level_defects,
         float(worst),
-        bool(bijective and worst <= tol),
+        bool(bijective and worst <= EQ_TOL),
         seed,
         route,
         choi_floor,
@@ -538,14 +518,13 @@ def kernel_ideal_check(
     random combinations, then grown by left and right multiplication with
     C* basis elements until the span stabilizes.  Each round appends, for
     every ideal column q and C* basis column bb in turn, bb q and q bb.
-    Without erg it takes the rho already built for the family, as the suite does.
     """
     if fs is None:
         fs = fixed_space(family)
     if cs is None:
         cs = cstar_closure(fs)
     if erg is None:
-        erg = ergodic_projection.built_or_default(family)
+        erg = ergodic_projection(family)
     if cs.dimension == 0:
         return KernelIdealReport(0, 0, 0.0, 0.0, True, seed, note="trivial fixed space")
     b = cs.matrix
@@ -580,7 +559,7 @@ def kernel_ideal_check(
 # its samples at once, one element per column of a (D, S) coordinate block.
 
 
-def _psd_floor(structure: BlockStructure, vs) -> float:
+def _hermitian_floor(structure: BlockStructure, vs) -> float:
     """Smallest eigenvalue of the Hermitian parts of every element in the coordinate blocks vs."""
     worst = np.inf
     for v in vs:
@@ -644,10 +623,6 @@ def property_suite(
     obj,
     seed: int = 0,
     samples: int = 100,
-    mono_steps: int = 10,
-    s_max: int = 10,
-    psd_floor: float = 1e-9,
-    tol_eq: float = 1e-8,
 ) -> SuiteReport:
     """Run the proof-ingredient identities and report residuals per item.
 
@@ -659,8 +634,8 @@ def property_suite(
 
     Each item draws its samples in the order and with the numbers of one
     draw per sample, and works on them as one (D, S) coordinate block.
-    rho is the one already built, say by a report at its config's
-    tolerances, or else the one at the default settings.
+    The rows that need rho FAIL with its error when ergodic_projection
+    raised on the family.
     """
     instance = obj if isinstance(obj, DilationInstance) else None
     family = instance.phi if instance is not None else obj
@@ -673,7 +648,7 @@ def property_suite(
     erg = None
     erg_error = ""
     try:
-        erg = ergodic_projection.built_or_default(family)
+        erg = ergodic_projection(family)
     except CpfixError as exc:
         erg_error = str(exc)
     rho = None if erg is None else erg.matrix
@@ -693,27 +668,27 @@ def property_suite(
     for gen in family.generators:
         img = gen.superop @ x
         diffs.append(gen.superop @ xx - _product(st, _star(st, img), img))
-    worst = _psd_floor(st, diffs)
+    worst = _hermitian_floor(st, diffs)
     worst = 0.0 if not np.isfinite(worst) else worst
     items["kadison_schwarz"] = ItemResult(
-        "PASS" if worst >= -psd_floor else "FAIL", float(worst), psd_floor, samples
+        "PASS" if worst >= -PSD_FLOOR else "FAIL", float(worst), PSD_FLOOR, samples
     )
 
     # Monotone net: phi_{s+e_i}(x*x) >= phi_s(x*x) along the diagonal, x fixed.
     if trivial:
-        items["monotone_net"] = ItemResult("PASS", 0.0, psd_floor, 0, note="trivial fixed space")
+        items["monotone_net"] = ItemResult("PASS", 0.0, PSD_FLOOR, 0, note="trivial fixed space")
     else:
         x = _combos(fs.matrix, rng.standard_normal((samples, 2, fs.dimension)))
         y = _product(st, _star(st, x), x)
         diffs = []
-        for _ in range(mono_steps):
+        for _ in range(MONO_STEPS):
             for gen in family.generators:
                 stepped = gen.superop @ y
                 diffs.append(stepped - y)
                 y = stepped
-        worst = _psd_floor(st, diffs)
+        worst = _hermitian_floor(st, diffs)
         items["monotone_net"] = ItemResult(
-            "PASS" if worst >= -psd_floor else "FAIL", float(worst), psd_floor, samples
+            "PASS" if worst >= -PSD_FLOOR else "FAIL", float(worst), PSD_FLOOR, samples
         )
 
     # Diagonal limit of phi_s(x*x) exists and matches the mean projection.
@@ -763,7 +738,7 @@ def property_suite(
             gx[j] = rng.standard_normal((2, fs.dimension))
             ga[j] = rng.standard_normal((2, cs.dimension))
             h[j] = random_unit_vector(rng, st.space_dim)
-            s_idx[j] = rng.integers(0, s_max + 1, size=family.rank)
+            s_idx[j] = rng.integers(0, S_MAX + 1, size=family.rank)
         x = _combos(fs.matrix, gx)
         q = _product(st, _star(st, x), x)
         y = rho @ q - q
@@ -772,7 +747,7 @@ def property_suite(
         powers = []
         for gen in family.generators:
             pw = [np.eye(st.coord_dim, dtype=complex)]
-            for _ in range(s_max):
+            for _ in range(S_MAX):
                 pw.append(gen.superop @ pw[-1])
             powers.append(np.stack(pw))
         moved = _blocks(st, _beta(powers, s_idx, _product(st, a, root)))
@@ -796,11 +771,11 @@ def property_suite(
         fs_ambient = fixed_space(instance.alpha)
 
         if fs_ambient.dimension == 0:
-            items["lift_identity"] = ItemResult("PASS", 0.0, tol_eq, 0, note="trivial ambient fixed space")
+            items["lift_identity"] = ItemResult("PASS", 0.0, EQ_TOL, 0, note="trivial ambient fixed space")
         else:
             x = _combos(fs_ambient.matrix, rng.standard_normal((samples, 2, fs_ambient.dimension)))
             z, errors = _pi_limits(instance, _compressed(instance.emb, x))
-            items["lift_identity"] = _lifting_item(instance.structure, z - x, errors, tol_eq, samples, note)
+            items["lift_identity"] = _lifting_item(instance.structure, z - x, errors, EQ_TOL, samples, note)
 
         if cs.dimension == 0 or erg is None:
             note2 = "trivial fixed space" if cs.dimension == 0 else erg_error

@@ -82,7 +82,7 @@ MUTANTS = {
     ),
     "monotone-net-constant-worst": (
         FIXPOINT,
-        [("        worst = _psd_floor(st, diffs)\n        items[\"monotone_net\"]",
+        [("        worst = _hermitian_floor(st, diffs)\n        items[\"monotone_net\"]",
           "        worst = 0.0\n        items[\"monotone_net\"]")],
     ),
 }

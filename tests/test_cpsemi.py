@@ -262,15 +262,15 @@ def test_memo_remembers_a_raised_error():
     calls = []
 
     @_cached_on_argument
-    def failing(obj, tol=1e-3):
-        calls.append(tol)
-        raise CpfixError(f"failed at {tol:g}")
+    def failing(obj):
+        calls.append(obj)
+        raise CpfixError(f"failed on call {len(calls)}")
 
     obj = SemigroupFamily(BlockStructure((1,)), ())
     depths = []
-    for get in (lambda: failing(obj, tol=1e-2), lambda: failing(obj, tol=1e-2), lambda: failing.built_or_default(obj)):
-        with pytest.raises(CpfixError, match="failed at 0.01") as info:
-            get()
+    for _ in range(3):
+        with pytest.raises(CpfixError, match="failed on call 1") as info:
+            failing(obj)
         depths.append(len(traceback.extract_tb(info.value.__traceback__)))
-    assert calls == [1e-2]  # computed once; built_or_default re-raises instead of building at the default
+    assert calls == [obj]  # computed once; later calls raise the remembered error
     assert depths[1] == depths[2] <= depths[0]  # each raise starts a fresh traceback
