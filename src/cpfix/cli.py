@@ -80,7 +80,6 @@ class Config:
         for key, value in data.items():
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ParseError(f"config {key}: expected an integer, got {value!r}")
-            # seed may be zero; levels and samples must be positive
             if not (value >= 0 if key == "seed" else value > 0):
                 raise ParseError(f"config {key}: value {value!r} is out of range")
             values[key] = value

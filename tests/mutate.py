@@ -73,8 +73,8 @@ MUTANTS = {
     ),
     "isometry-unit-defect-dropped": (
         FIXPOINT,
-        [("choi_floor >= -tol and unit_defect <= tol and left_defect <= tol",
-          "choi_floor >= -tol and left_defect <= tol")],
+        [("choi_floor >= -EQ_TOL and unit_defect <= EQ_TOL and left_defect <= EQ_TOL",
+          "choi_floor >= -EQ_TOL and left_defect <= EQ_TOL")],
     ),
     "isometry-choi-floor-skipped": (
         FIXPOINT,
