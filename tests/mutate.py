@@ -71,6 +71,10 @@ MUTANTS = {
         [("for gen in self.generators:\n            theta = gen.superop @ theta",
           "for gen in self.generators[:1]:\n            theta = gen.superop @ theta")],
     ),
+    "fixed-space-first-generator": (
+        FIXPOINT,
+        [("g.superop @ cols - cols for g in family.generators]", "g.superop @ cols - cols for g in family.generators[:1]]")],
+    ),
     "isometry-unit-defect-dropped": (
         FIXPOINT,
         [("choi_floor >= -EQ_TOL and unit_defect <= EQ_TOL and left_defect <= EQ_TOL",

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpfix.errors import CpfixError, Divergent, NotContractive, NotFixed, NotInCStar
+from cpfix import fixpoint
+from cpfix.errors import CpfixError, Divergent, NoConvergence, NotContractive, NotFixed, NotInCStar
 from cpfix.matcore import nullspace, op_norm, psd_sqrt, random_complex, random_unit_vector, random_unitary
 from cpfix.vnalg import (
     AlgebraElement,
@@ -89,6 +90,15 @@ def test_fixed_space_damping_scalars():
     assert fs.dimension == 1
     b = fs.basis[0].blocks[0]
     assert op_norm(b - b[0, 0] * np.eye(2)) < 1e-10  # span{1}
+
+
+def test_fixed_space_rejects_a_basis_a_generator_moves(monkeypatch):
+    # a nullspace that returns span{E01, E10}: the identity fixes it, the second generator
+    # rotates it by e^{-+i pi/3}, so the check on the coordinate block must fail
+    monkeypatch.setattr(fixpoint, "nullspace", lambda m, tol: np.eye(4, dtype=complex)[:, 1:3])
+    fam = SemigroupFamily(M2, (identity_map(M2), rotation_family(np.pi / 3).generators[0]))
+    with pytest.raises(NoConvergence, match="fails the defining equation"):
+        fixed_space(fam)
 
 
 def test_fixed_space_adjoint_closed():
