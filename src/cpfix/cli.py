@@ -12,6 +12,7 @@ Exit codes: 0 all PASS, 1 any FAIL, 2 ERROR or unparsable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -683,7 +684,9 @@ def _parse_params(pairs) -> dict:
     return params
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="cpfix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

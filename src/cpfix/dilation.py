@@ -108,8 +108,9 @@ def check_minimality(alpha: SemigroupFamily, p: AlgebraElement) -> MinimalityRes
     rank = round(sum(np.trace(b).real for b in q.blocks))
     defect = q.coords()[:, None]
     for n in range(rank + 1):
-        if norm(defect) <= 0.5:
-            return MinimalityResult(Minimality.MINIMAL, n, norm(defect))
+        defect_norm = norm(defect)
+        if defect_norm <= 0.5:
+            return MinimalityResult(Minimality.MINIMAL, n, defect_norm)
         nxt = theta @ defect
         if norm(nxt - defect) <= 0.5:
             return MinimalityResult(Minimality.NON_MINIMAL, n + 1, norm(nxt), limit=element_from_coords(st, nxt))

@@ -10,6 +10,7 @@ idempotent, and a property suite covering the remaining identities.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from .vnalg import (
     _coords,
     _injected,
     _norms,
+    _norms_within,
     _product,
     _star,
     amplify_combination,
@@ -79,6 +81,11 @@ def span_distance(basis_matrix: np.ndarray, v: np.ndarray):
     return np.linalg.norm(v - basis_matrix @ (basis_matrix.conj().T @ v), axis=0)
 
 
+def _exceeds(gap: float, tol: float, norm) -> bool:
+    """gap > tol * max(1, norm()), calling norm only when gap > tol leaves the answer open."""
+    return gap > tol and gap > tol * max(1.0, norm())
+
+
 def _hermitian_basis(structure: BlockStructure, cols: np.ndarray) -> np.ndarray:
     """Rotate an orthonormal basis of a *-closed span into Hermitian form.
 
@@ -122,7 +129,7 @@ def fixed_space(family: SemigroupFamily) -> FixedSpace:
     stacked = np.vstack([g.superop - eye for g in family.generators])
     cols = nullspace(stacked, FIXED_TOL)
     cols = _hermitian_basis(st, cols)
-    if np.any(_norms(st, np.hstack([g.superop @ cols - cols for g in family.generators])) > 1e-8):
+    if not np.all(_norms_within(st, np.hstack([g.superop @ cols - cols for g in family.generators]), 1e-8)):
         raise NoConvergence("fixed-space basis fails the defining equation")
     basis = tuple(element_from_coords(st, cols[:, k]) for k in range(cols.shape[1]))
     return FixedSpace(st, basis, cols)
@@ -207,10 +214,10 @@ def _cesaro_check(s: np.ndarray, p: np.ndarray) -> dict:
     avg = np.eye(s.shape[0], dtype=complex)
     pw = s.copy()
     terms, steps = 1, 0
-    increment = 0.0
+    step = np.zeros_like(avg)  # the last increment; only its norm is reported
     while 2 * terms <= CESARO_CAP:
         nxt = 0.5 * (avg + pw @ avg)
-        increment = op_norm(nxt - avg)
+        step = nxt - avg
         avg = nxt
         pw = pw @ pw
         terms *= 2
@@ -218,7 +225,7 @@ def _cesaro_check(s: np.ndarray, p: np.ndarray) -> dict:
     return {
         "cesaro_terms": int(terms),
         "cesaro_steps": int(steps),
-        "cesaro_increment": float(increment),
+        "cesaro_increment": float(op_norm(step)),
         "cesaro_gap": float(op_norm(avg - p)),
     }
 
@@ -289,24 +296,37 @@ def _diagonal_limits(family: SemigroupFamily, v: np.ndarray, stalled: str):
     Returns the limits and, per column, a Divergent (`stalled` for a moved limit) or None.
     """
     v = np.array(v, dtype=complex)
-    live = np.arange(v.shape[1])  # the columns still iterating, held compactly in w
-    w, last = v, np.full(v.shape[1], np.inf)
+    st, s = family.structure, v.shape[1]
+    live = np.arange(s)  # the columns still iterating, held compactly in w
+    w, last = v, np.full(s, np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(DOUBLINGS):
-            if live.size == 0:
-                break
             nxt = family.theta_square(k) @ w
             inc = np.linalg.norm(nxt - w, axis=0)
             last[live] = inc
             done = inc <= STEP_TOL
-            v[:, live[done]] = nxt[:, done]
+            if done.all():
+                v[:, live] = nxt
+                break
+            if done.any():
+                v[:, live[done]] = nxt[:, done]
             going = ~done & np.isfinite(inc)
-            live, w = live[going], nxt[:, going]
-    # row 0: the norm of each limit; row 1 + i: the norm of its defect under generator i, all in one _norms
-    norms = _norms(family.structure, np.hstack([v] + [g.superop @ v - v for g in family.generators]))
-    norms = norms.reshape(1 + family.rank, v.shape[1])
-    off = np.any(norms[1:] > 10.0 * STEP_TOL * np.maximum(1.0, norms[0]), axis=0)
-    errors = [Divergent(stalled) if o else None for o in off]
+            if not going.all():
+                live, nxt = live[going], nxt[:, going]
+                if live.size == 0:
+                    break
+            w = nxt
+    # a defect within 10 STEP_TOL is within 10 STEP_TOL max(1, ||limit||), so only the
+    # columns this screen leaves open take the norms of their limits and exact defect norms
+    defects = [g.superop @ v - v for g in family.generators]
+    on = _norms_within(st, np.hstack(defects), 10.0 * STEP_TOL).reshape(family.rank, s).all(axis=0)
+    if not on.all():
+        rest = np.flatnonzero(~on)
+        # row 0: the norm of each open limit; row 1 + i: the norm of its defect under generator i
+        norms = _norms(st, np.hstack([v[:, rest]] + [d[:, rest] for d in defects]))
+        norms = norms.reshape(1 + family.rank, rest.size)
+        on[rest] = np.all(norms[1:] <= 10.0 * STEP_TOL * np.maximum(1.0, norms[0]), axis=0)
+    errors = [None if o else Divergent(stalled) for o in on]
     for j in np.flatnonzero(~(last <= STEP_TOL)):
         errors[j] = Divergent(f"no convergence within {2**DOUBLINGS - 1} steps (last increment {last[j]:g})")
     return v, errors
@@ -334,7 +354,7 @@ def pi_limit(instance: DilationInstance, y: AlgebraElement, cstar: CStarSpan | N
     if cstar is None:
         cstar = cstar_closure(fixed_space(instance.phi))
     gap = span_distance(cstar.matrix, y.coords())
-    if gap > SPAN_TOL * max(1.0, y.norm()):
+    if _exceeds(gap, SPAN_TOL, y.norm):
         raise NotInCStar(f"element is {gap:g} away from C*(N^phi); limit not guaranteed")
     return _limit(instance.alpha, inject(instance.emb, y), "ambient " + STALLED)
 
@@ -347,7 +367,8 @@ def lift_fixed_point(instance: DilationInstance, y: AlgebraElement, agreement_to
     beyond `agreement_tol` raises Inconsistent.
     """
     fs_corner = fixed_space(instance.phi)
-    if span_distance(fs_corner.matrix, y.coords()) > SPAN_TOL * max(1.0, y.norm()):
+    y_norm = functools.cache(y.norm)  # taken at most once, and only for a gap past its tolerance
+    if _exceeds(span_distance(fs_corner.matrix, y.coords()), SPAN_TOL, y_norm):
         raise NotFixed("input is not in the fixed space of the compressed family")
     z_pi = pi_limit(instance, y)
     fs_ambient = fixed_space(instance.alpha)
@@ -356,11 +377,11 @@ def lift_fixed_point(instance: DilationInstance, y: AlgebraElement, agreement_to
     comp_cols = _compressed(instance.emb, fs_ambient.matrix)
     coeff, *_ = np.linalg.lstsq(comp_cols, y.coords(), rcond=None)
     resid = float(np.linalg.norm(comp_cols @ coeff - y.coords()))
-    if resid > SPAN_TOL * max(1.0, y.norm()):
+    if _exceeds(resid, SPAN_TOL, y_norm):
         raise Inconsistent(f"no ambient fixed point compresses to y (residual {resid:g})")
     z_lin = element_from_coords(instance.structure, fs_ambient.matrix @ coeff)
     gap = (z_pi - z_lin).norm()
-    if gap > agreement_tol * max(1.0, y.norm()):
+    if _exceeds(gap, agreement_tol, y_norm):
         raise Inconsistent(f"limit route and linear-algebra route disagree by {gap:g}")
     return z_pi
 
@@ -573,7 +594,8 @@ def _pi_limits(instance: DilationInstance, y: np.ndarray):
     """pi_limit of every column of a corner coordinate block: the limits and, per column, its error or None."""
     z, errors = _diagonal_limits(instance.alpha, _injected(instance.emb, y), "ambient " + STALLED)
     gaps = span_distance(cstar_closure(fixed_space(instance.phi)).matrix, y)
-    for j in np.flatnonzero(gaps > SPAN_TOL * np.maximum(1.0, _norms(instance.emb.corner, y))):
+    far = np.flatnonzero(gaps > SPAN_TOL)  # only these need the norms of their elements
+    for j in far[gaps[far] > SPAN_TOL * np.maximum(1.0, _norms(instance.emb.corner, y[:, far]))]:
         errors[j] = NotInCStar(f"element is {gaps[j]:g} away from C*(N^phi); limit not guaranteed")
     return z, errors
 

@@ -79,8 +79,9 @@ def nullspace(l: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
     tol * max(1, sigma_max).  May return a (n, 0) array.
     """
     l = as_matrix(l)
-    _, v = nullspace_pair(l, tol)
-    return v
+    # a tall L has all n right singular vectors in the reduced SVD, which skips the m x m U
+    _, s, vh = np.linalg.svd(l, full_matrices=l.shape[0] < l.shape[1])
+    return vh[_null_mask(s, l.shape[1], tol)].conj().T
 
 
 def nullspace_pair(l: np.ndarray, tol: float = NULL_TOL):
@@ -92,15 +93,14 @@ def nullspace_pair(l: np.ndarray, tol: float = NULL_TOL):
     l = as_matrix(l)
     m, n = l.shape
     u, s, vh = np.linalg.svd(l, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    thresh = tol * max(1.0, smax)
-    s_right = np.zeros(n)
-    s_right[: s.size] = s
-    s_left = np.zeros(m)
-    s_left[: s.size] = s
-    right = vh[s_right <= thresh].conj().T
-    left = u[:, s_left <= thresh]
-    return left, right
+    return u[:, _null_mask(s, m, tol)], vh[_null_mask(s, n, tol)].conj().T
+
+
+def _null_mask(s: np.ndarray, size: int, tol: float) -> np.ndarray:
+    """Which of `size` singular directions have singular value (0 past s) at most tol * max(1, sigma_max)."""
+    padded = np.zeros(size)
+    padded[: s.size] = s
+    return padded <= tol * max(1.0, s[0] if s.size else 0.0)
 
 
 def psd_sqrt(a: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:

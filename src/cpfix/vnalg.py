@@ -294,6 +294,21 @@ def _norms(structure: BlockStructure, v: np.ndarray) -> np.ndarray:
     return np.max(_norms_by_size(_blocks(structure, v)), axis=0)
 
 
+def _norms_within(structure: BlockStructure, v: np.ndarray, bound) -> np.ndarray:
+    """_norms(structure, v) <= bound for every column, taking _norms only of the columns a screen leaves open.
+
+    A block's operator norm is at most its Frobenius norm, which is at
+    most the column's 2-norm, so a column whose 2-norm is within half its
+    bound passes; the factor 2 keeps rounding in the two formulas from
+    flipping a comparison.  `bound` is a number or one per column.
+    """
+    within = np.linalg.norm(v, axis=0) <= 0.5 * bound
+    if not within.all():
+        rest = np.flatnonzero(~within)
+        within[rest] = _norms(structure, v[:, rest]) <= np.broadcast_to(bound, within.shape)[rest]
+    return within
+
+
 def _combos(matrix: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Normalized complex combinations of the columns of matrix, one per sample.
 

@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 DILATION = ("dilation.py", ("tests/test_dilation.py",))
 FIXPOINT = ("fixpoint.py", ("tests/test_fixpoint.py", "tests/test_golden.py"))
+VNALG = ("vnalg.py", ("tests/test_vnalg.py",))
 THETA = ("cpsemi.py", ("tests/test_cpsemi.py", "tests/test_dilation.py", "tests/test_fixpoint.py"))
 
 # name -> ((module, owning test files), [(pattern, replacement), ...])
@@ -44,7 +45,7 @@ MUTANTS = {
     "minimality-threshold-1e-10": (
         DILATION,
         [
-            ("if norm(defect) <= 0.5:", "if norm(defect) <= 1e-10:"),
+            ("if defect_norm <= 0.5:", "if defect_norm <= 1e-10:"),
             ("if norm(nxt - defect) <= 0.5:", "if norm(nxt - defect) <= 1e-10:"),
         ],
     ),
@@ -75,6 +76,11 @@ MUTANTS = {
         FIXPOINT,
         [("g.superop @ cols - cols for g in family.generators]", "g.superop @ cols - cols for g in family.generators[:1]]")],
     ),
+    "norm-screen-no-margin": (
+        VNALG,
+        [("within = np.linalg.norm(v, axis=0) <= 0.5 * bound", "within = np.linalg.norm(v, axis=0) <= bound")],
+    ),
+    "limit-check-screen-only": (FIXPOINT, [("    if not on.all():\n", "    if False:\n")]),
     "isometry-unit-defect-dropped": (
         FIXPOINT,
         [("choi_floor >= -EQ_TOL and unit_defect <= EQ_TOL and left_defect <= EQ_TOL",

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import json
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from cpfix import fixpoint
+from cpfix import cli, fixpoint
 from cpfix.errors import ParseError, UnknownFamily
 from cpfix.matcore import op_norm
 from cpfix.cpsemi import to_superoperator
@@ -282,6 +283,32 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["validate", path]) == 0
     assert main(["analyze", path, "--samples", "10"]) == 0
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
+    capsys.readouterr()
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    out = str(tmp_path / "rotation.json")
+    assert main(["demo", "rotation", "-o", out]) == 0
+    first = len(built)
+    assert first > 0 and built.count("cpfix") == 1
+    assert main(["validate", out]) == 0
+    assert len(built) == first
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: file" in capsys.readouterr().err
+    assert main(["validate", out]) == 0  # the reused parser still parses
+    assert len(built) == first
     capsys.readouterr()
 
 

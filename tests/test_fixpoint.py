@@ -11,6 +11,7 @@ from cpfix.matcore import nullspace, op_norm, psd_sqrt, random_complex, random_u
 from cpfix.vnalg import (
     AlgebraElement,
     BlockStructure,
+    _norms,
     compress,
     element_from_coords,
     embed,
@@ -21,6 +22,7 @@ from cpfix.vnalg import (
 from cpfix.cpsemi import (
     apply,
     apply_power,
+    conjugation_map,
     cp_map,
     damping_family,
     identity_family,
@@ -229,6 +231,62 @@ def test_phi_limit_overflowing_orbit_diverges_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(Divergent, match=r"last increment inf\)$"):
             phi_limit(fam, unit(0, 0))
+
+
+def full_norm_limits(family, v, stalled):
+    """Reference _diagonal_limits that takes the operator norm of every limit and every defect."""
+    v = np.array(v, dtype=complex)
+    live = np.arange(v.shape[1])
+    w, last = v, np.full(v.shape[1], np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(fixpoint.DOUBLINGS):
+            if live.size == 0:
+                break
+            nxt = family.theta_square(k) @ w
+            inc = np.linalg.norm(nxt - w, axis=0)
+            last[live] = inc
+            done = inc <= fixpoint.STEP_TOL
+            v[:, live[done]] = nxt[:, done]
+            going = ~done & np.isfinite(inc)
+            live, w = live[going], nxt[:, going]
+    norms = _norms(family.structure, np.hstack([v] + [g.superop @ v - v for g in family.generators]))
+    norms = norms.reshape(1 + family.rank, v.shape[1])
+    off = np.any(norms[1:] > 10.0 * fixpoint.STEP_TOL * np.maximum(1.0, norms[0]), axis=0)
+    errors = [Divergent(stalled) if o else None for o in off]
+    for j in np.flatnonzero(~(last <= fixpoint.STEP_TOL)):
+        errors[j] = Divergent(f"no convergence within {2**fixpoint.DOUBLINGS - 1} steps (last increment {last[j]:g})")
+    return v, errors
+
+
+def assert_same_limits(family, v):
+    lims, errors = fixpoint._diagonal_limits(family, v, "moved")
+    want, want_errors = full_norm_limits(family, v, "moved")
+    assert np.array_equal(lims, want)
+    assert [(type(e), str(e)) for e in errors] == [(type(e), str(e)) for e in want_errors]
+    return errors
+
+
+def test_norm_screen_leaves_the_diagonal_limits_unchanged():
+    for seed in range(40):
+        for d in (1, 2):
+            inst = build_random_instance(seed, d=d)
+            rng = np.random.default_rng(seed)
+            cstar = cstar_closure(fixed_space(inst.phi)).matrix
+            for family, converging in ((inst.phi, cstar), (inst.alpha, fixpoint._injected(inst.emb, cstar))):
+                # C* elements converge; random elements mostly do not, or stall off the fixed space
+                v = np.hstack([converging, random_complex(rng, family.structure.coord_dim, 2)])
+                assert_same_limits(family, np.hstack([v, 1e3 * v]))
+
+
+@pytest.mark.parametrize("angle", [0.3, 2e-6, 2e-12])
+def test_norm_screen_leaves_moved_limits_unchanged(angle):
+    # theta = 1 for the pair u, u*, so every element stops at once; u moves E01 by about angle * ||E01||
+    u = np.diag([1.0, np.exp(1j * angle)])
+    family = make_family([conjugation_map(M2, [u]), conjugation_map(M2, [u.conj()])])
+    v = np.stack([unit(0, 1).coords(), unit(0, 0).coords()], axis=1)
+    errors = assert_same_limits(family, np.hstack([v, 1e3 * v]))
+    # at 2e-12 the defect of 1e3 E01 is past the screen's 1e-9 / 2 but within 1e-9 max(1, 1e3)
+    assert [e is not None for e in errors] == [angle > 1e-6, False, angle > 1e-9, False]
 
 
 def test_phi_limit_agrees_with_mean_projection():

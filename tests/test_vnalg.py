@@ -10,6 +10,7 @@ from cpfix.vnalg import (
     BlockStructure,
     _blocks,
     _norms,
+    _norms_within,
     amplify_combination,
     compress,
     corner,
@@ -211,3 +212,36 @@ def test_block_norms_equal_the_per_block_loop(dims, columns, seed):
     for j in range(columns):
         x = element_from_coords(structure, v[:, j])
         assert x.norm() == max(op_norm(b) for b in x.blocks) == looped[j]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(2, 3, 2, 3), (1, 4, 1), (3,), (2, 2, 1, 3, 2), (4, 1)]),
+    st.integers(min_value=-12, max_value=6),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_norm_screen_equals_the_exact_comparison(dims, scale, seed):
+    """_norms_within decides _norms <= bound column by column, at every edge of both its formulas.
+
+    The columns are random elements and rank-one elements with one nonzero
+    block, whose operator norm equals their Frobenius norm.  Each column is
+    scaled by 10**scale and then meets bounds just below, at and just above
+    its exact norm, its 2-norm and twice its 2-norm.
+    """
+    structure = BlockStructure(dims)
+    rng = np.random.default_rng(seed)
+    cols = [random_complex(rng, structure.coord_dim, 3)]
+    for n, sl in zip(dims, structure.coord_slices()):
+        rank_one = np.zeros((structure.coord_dim, 2), dtype=complex)
+        for j in range(2):
+            rank_one[sl, j] = (random_complex(rng, n, 1) @ random_complex(rng, 1, n)).ravel()
+        cols.append(rank_one)
+    v = np.hstack(cols) * 10.0**scale
+    exact, frob = _norms(structure, v), np.linalg.norm(v, axis=0)
+    refs = np.concatenate([exact, frob, 2.0 * frob])
+    bound = np.concatenate([np.nextafter(refs, 0.0), refs, np.nextafter(refs, np.inf)])
+    v = np.tile(v, 9)
+    assert np.array_equal(_norms_within(structure, v, bound), _norms(structure, v) <= bound)
+    for j in range(v.shape[1]):
+        col = v[:, j : j + 1]
+        assert _norms_within(structure, col, bound[j])[0] == (_norms(structure, col)[0] <= bound[j])
