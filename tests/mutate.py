@@ -13,7 +13,7 @@ pass.  The repository itself is never modified.
     python tests/mutate.py --list
 
 The exit status is 0 when exactly the known survivors survive, else 1.
-The test suite does not run this script; a full run takes about 50 s on two cores.
+The test suite does not run this script; a full run takes about 60 s on two cores.
 """
 
 from __future__ import annotations
