@@ -68,7 +68,6 @@ FILE_VERSION = "cpfix-1"
 class Config:
     """Sampling sizes and seed; every tolerance and cap is a constant of `fixpoint`."""
 
-    levels: int = 3
     samples: int = 100
     seed: int = 0
 
@@ -471,7 +470,7 @@ def cmd_dilation(path: str, overrides: dict | None = None) -> dict:
     )
     if verdict.limit is not None:
         extras["minimality_limit"] = encode_element(verdict.limit)
-    iso = check_complete_isometry(instance, levels=cfg.levels, samples=cfg.samples, seed=cfg.seed)
+    iso = check_complete_isometry(instance)
     entries.append(
         entry(
             "complete_isometry",
@@ -483,7 +482,7 @@ def cmd_dilation(path: str, overrides: dict | None = None) -> dict:
                 "max_defect": iso.max_defect,
                 "route": iso.route,
                 "choi_floor": iso.choi_floor,
-                "unit_defect": iso.unit_defect,
+                "unit_excess": iso.unit_excess,
                 "left_inverse_defect": iso.left_inverse_defect,
             },
             iso.note,
@@ -702,12 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dil = sub.add_parser("dilation", help="co-invariance, minimality, lifting checks")
     p_dil.add_argument("file")
-    p_dil.add_argument(
-        "--levels",
-        type=int,
-        help="matrix levels M_k, k = 1..LEVELS, of the sampled isometry check, which runs only "
-        "when the left-inverse certificate fails",
-    )
     p_dil.add_argument("--seed", type=int)
     p_dil.add_argument("--samples", type=int)
     p_dil.add_argument("--out")
@@ -721,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _overrides(args) -> dict:
     out = {}
-    for key in ("seed", "samples", "levels"):
+    for key in ("seed", "samples"):
         value = getattr(args, key, None)
         if value is not None:
             out[key] = value

@@ -3,8 +3,8 @@
 Computes N^phi and M^alpha as joint nullspaces of superoperators, the
 C*-algebra generated by a fixed-point space, the mean (Cesaro) ergodic
 projection rho onto the fixed space, the diagonal strong-operator limits
-of phi_s and alpha_s, the complete-isometry defect of the compression
-E(x) = pxp at matrix levels, the kernel-ideal identity for the induced
+of phi_s and alpha_s, the left-inverse certificate that the compression
+E(x) = pxp is a complete isometry, the kernel-ideal identity for the induced
 idempotent, and a property suite covering the remaining identities.
 """
 
@@ -37,8 +37,6 @@ from .vnalg import (
     _norms_within,
     _product,
     _star,
-    amplify_combination,
-    compress,
     element_from_coords,
     identity_element,
     inject,
@@ -391,37 +389,34 @@ class IsometryReport:
     """Verdict on E(x) = pxp as a complete isometry M^alpha -> N^phi, and the route that decided it.
 
     `route` is "certificate" when the left inverse R = rho_alpha o inject
-    certified every matrix level, "sampled" when the sampled levels
-    decided, and "trivial" when M^alpha = 0.  On the certificate route
-    `max_defect` is the largest certificate residual, max(0, -choi_floor)
-    standing for the Choi floor, and `level_defects` is empty; on the
-    sampled route it is the largest level defect.  The three certificate
-    residuals are None on the trivial route only.
+    decided, and "trivial" when M^alpha = 0.  `max_defect` is the largest
+    certificate residual, with max(0, -choi_floor) standing for the Choi
+    floor.  The three certificate residuals are None on the trivial route
+    only.
     """
 
     dim_ambient_fixed: int
     dim_corner_fixed: int
     compression_rank: int
     bijective: bool
-    level_defects: dict
     max_defect: float
     passed: bool
-    seed: int
     route: str
     choi_floor: float | None
-    unit_defect: float | None
+    unit_excess: float | None
     left_inverse_defect: float | None
     note: str = ""
 
 
 def _left_inverse_residuals(instance: DilationInstance, fs_ambient: FixedSpace, comp_cols: np.ndarray):
-    """Residuals of R = rho_alpha o inject : N -> M as a unital CP left inverse of E on M^alpha.
+    """Residuals of R = rho_alpha o inject : N -> M as a contractive CP left inverse of E on M^alpha.
 
     rho_alpha is the product of the per-generator mean projections of
     alpha, without the Cesaro and Choi checks of ergodic_projection.
     Returns the smallest eigenvalue of R's blockwise Choi matrices,
-    ||R(1_N) - 1_M|| and max ||R E b - b|| over the ambient fixed basis,
-    whose compressions are the columns of comp_cols.
+    ||R(1_N)|| - 1 (the cb-norm of a CP map, less 1) and
+    max ||R E b - b|| over the ambient fixed basis, whose compressions are
+    the columns of comp_cols.
     """
     emb = instance.emb
     rho = np.eye(emb.ambient.coord_dim, dtype=complex)
@@ -429,30 +424,11 @@ def _left_inverse_residuals(instance: DilationInstance, fs_ambient: FixedSpace, 
         rho = rho @ _mean_projection(gen.superop)[0]
     r = rho @ _injected(emb, np.eye(emb.corner.coord_dim))
     choi_floor = choi_min_eig(r, emb.ambient, emb.corner)
-    one_n, one_m = (identity_element(st).coords()[:, None] for st in (emb.corner, emb.ambient))
-    # column 0: R(1_N) - 1_M; column 1 + k: R E b_k - b_k
-    norms = _norms(emb.ambient, r @ np.hstack([one_n, comp_cols]) - np.hstack([one_m, fs_ambient.matrix]))
-    return float(choi_floor), float(norms[0]), float(np.max(norms[1:], initial=0.0))
-
-
-def _sampled_defects(basis, compressed, levels: int, samples: int, seed: int) -> dict:
-    """Largest relative norm defect of compression on samples of M_k(M^alpha), per level k = 1..levels.
-
-    Samples random complex combinations sum_j kron(C_j, b_j) over the
-    ambient fixed basis and compares amplified operator norms before and
-    after compression.  Each level draws, amplifies and takes norms of all
-    its samples at once.
-    """
-    rng = np.random.default_rng(seed)
-    level_defects = {}
-    for k in range(1, levels + 1):
-        # the numbers random_complex(rng, k, k) draws per sample and basis element, in its order
-        g = rng.standard_normal((samples, len(basis), 2, k, k))
-        coeffs = (g[:, :, 0] + 1j * g[:, :, 1]) / np.sqrt(2.0)
-        nx = np.max([op_norm(b) for b in amplify_combination(coeffs, basis)], axis=0)
-        nex = np.max([op_norm(b) for b in amplify_combination(coeffs, compressed)], axis=0)
-        level_defects[k] = float(np.max(np.abs(nx - nex) / np.maximum(1.0, nx), initial=0.0))
-    return level_defects
+    # column 0: R(1_N); column 1 + k: R E b_k - b_k
+    cols = r @ np.hstack([identity_element(emb.corner).coords()[:, None], comp_cols])
+    cols[:, 1:] -= fs_ambient.matrix
+    norms = _norms(emb.ambient, cols)
+    return float(choi_floor), float(norms[0] - 1.0), float(np.max(norms[1:], initial=0.0))
 
 
 def check_complete_isometry(
@@ -465,16 +441,15 @@ def check_complete_isometry(
 ) -> IsometryReport:
     """Decide whether compression E(x) = pxp is a complete isometry M^alpha -> N^phi.
 
-    First it checks that E restricted to M^alpha is a linear bijection
-    onto N^phi, and builds the paper's left inverse R = rho_alpha o inject.
-    If R is CP, unital and inverts E on M^alpha, all within EQ_TOL, then for
-    every matrix level k, ||x||_k = ||R_k E_k x|| <= ||E_k x|| <= ||x||_k,
-    since a unital CP map is completely contractive: the certificate
-    passes and nothing is sampled.  Otherwise `levels`, `samples` and
-    `seed` size a sampled check of the norms on M_k(M^alpha),
-    k = 1..levels.  A non-minimal instance has a nonzero fixed q with
-    pqp = 0, so E is not injective there and the sampled check fails: the
-    certificate only ever decides instances the sampled check passes.
+    It checks that E restricted to M^alpha is a linear bijection onto
+    N^phi, and builds the paper's left inverse R = rho_alpha o inject.
+    A CP map has cb-norm ||R(1_N)||, so if R is CP with ||R(1_N)|| <= 1
+    and inverts E on M^alpha, all within EQ_TOL, then for every matrix
+    level k, ||x||_k = ||R_k E_k x|| <= ||E_k x|| <= ||x||_k.  The
+    certificate is sufficient only for CP inputs, which is all that
+    validation admits.  A non-minimal instance has a nonzero fixed q with
+    pqp = 0, so E is not injective there and the check fails.
+    `levels`, `samples` and `seed` are accepted and ignored.
     """
     if fs_ambient is None:
         fs_ambient = fixed_space(instance.alpha)
@@ -483,34 +458,25 @@ def check_complete_isometry(
     if fs_ambient.dimension == 0:
         bijective = fs_corner.dimension == 0
         return IsometryReport(
-            0, fs_corner.dimension, 0, bijective, {}, 0.0, bijective, seed, "trivial", None, None, None,
+            0, fs_corner.dimension, 0, bijective, 0.0, bijective, "trivial", None, None, None,
             note="trivial fixed space",
         )
     comp_cols = _compressed(instance.emb, fs_ambient.matrix)
     sv = np.linalg.svd(comp_cols, compute_uv=False)
     rank = int(np.sum(sv > 1e-10 * max(1.0, sv[0])))
     bijective = rank == fs_ambient.dimension == fs_corner.dimension
-    choi_floor, unit_defect, left_defect = _left_inverse_residuals(instance, fs_ambient, comp_cols)
-    if bijective and choi_floor >= -EQ_TOL and unit_defect <= EQ_TOL and left_defect <= EQ_TOL:
-        route, level_defects = "certificate", {}
-        worst = max(-choi_floor, unit_defect, left_defect, 0.0)
-    else:
-        route = "sampled"
-        compressed = [compress(instance.emb, b) for b in fs_ambient.basis]
-        level_defects = _sampled_defects(fs_ambient.basis, compressed, levels, samples, seed)
-        worst = max(level_defects.values(), default=0.0)
+    choi_floor, unit_excess, left_defect = _left_inverse_residuals(instance, fs_ambient, comp_cols)
+    worst = max(-choi_floor, unit_excess, left_defect, 0.0)
     return IsometryReport(
         fs_ambient.dimension,
         fs_corner.dimension,
         rank,
         bijective,
-        level_defects,
         float(worst),
         bool(bijective and worst <= EQ_TOL),
-        seed,
-        route,
+        "certificate",
         choi_floor,
-        unit_defect,
+        unit_excess,
         left_defect,
     )
 

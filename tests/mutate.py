@@ -83,9 +83,9 @@ MUTANTS = {
     "limit-check-screen-only": (FIXPOINT, [("    if not on.all():\n", "    if False:\n")]),
     "isometry-unit-defect-dropped": (
         FIXPOINT,
-        [("choi_floor >= -EQ_TOL and unit_defect <= EQ_TOL and left_defect <= EQ_TOL",
-          "choi_floor >= -EQ_TOL and left_defect <= EQ_TOL")],
+        [("max(-choi_floor, unit_excess, left_defect, 0.0)", "max(-choi_floor, left_defect, 0.0)")],
     ),
+    "isometry-ignores-bijective": (FIXPOINT, [("bool(bijective and worst <= EQ_TOL)", "bool(worst <= EQ_TOL)")]),
     "isometry-choi-floor-skipped": (
         FIXPOINT,
         [("choi_floor = choi_min_eig(r, emb.ambient, emb.corner)", "choi_floor = 0.0")],

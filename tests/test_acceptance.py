@@ -48,10 +48,9 @@ def test_acceptance_1_tail_shift_dilation_suite():
         fs_ambient = cf.fixed_space(inst.alpha)
         fs_corner = cf.fixed_space(inst.phi)
         assert fs_ambient.dimension == fs_corner.dimension, f"seed {seed}: fixed dims differ"
-        iso = cf.check_complete_isometry(
-            inst, levels=3, samples=100, seed=seed, fs_ambient=fs_ambient, fs_corner=fs_corner
-        )
+        iso = cf.check_complete_isometry(inst, fs_ambient=fs_ambient, fs_corner=fs_corner)
         assert iso.passed and iso.bijective, f"seed {seed}: isometry {iso}"
+        assert iso.route == "certificate", f"seed {seed}: route {iso.route}"
         assert iso.max_defect <= 1e-8, f"seed {seed}: defect {iso.max_defect}"
         cs = cf.cstar_closure(fs_corner)
         erg = cf.ergodic_projection(inst.phi)
@@ -67,7 +66,7 @@ def test_acceptance_1_tail_shift_dilation_suite():
     elapsed = time.time() - t0
     assert elapsed < 30.0, f"criterion 1 took {elapsed:.1f}s"
     print(f"\nACCEPTANCE 1 PASS: 100 tail-shift dilations: co-invariance, minimality <= m steps, "
-          f"dim match, complete isometry k<=3 <= 1e-8, pi/E identities ({elapsed:.1f}s)")
+          f"dim match, complete isometry certified <= 1e-8, pi/E identities ({elapsed:.1f}s)")
 
 
 def test_acceptance_2_bare_cp_families():

@@ -150,6 +150,7 @@ def test_parse_error_on_malformed_json(tmp_path):
 # other seven removed keys became constants of fixpoint
 REMOVED_KEYS = ["minimality_tol", "minimality_max_iter", "convergence_tol", "max_iter", "cesaro_cap"]
 REMOVED_KEYS += ["mono_steps", "s_max", "psd_floor", "tol_eq"]
+REMOVED_KEYS += ["levels"]  # sized the sampled isometry check, which the left-inverse certificate replaced
 
 
 @pytest.mark.parametrize("key", ["no_such_knob"] + REMOVED_KEYS)
@@ -160,7 +161,7 @@ def test_config_rejects_unknown_keys(key):
 
 @pytest.mark.parametrize(
     "config",
-    [{"samples": "x"}, {"samples": -1}, {"levels": 0}, {"seed": -1}, {"levels": 2.5}],
+    [{"samples": "x"}, {"samples": -1}, {"samples": 0}, {"seed": -1}, {"seed": 2.5}],
 )
 def test_invalid_config_exits_two(tmp_path, capsys, config):
     path = tmp_path / "damping.json"
@@ -170,6 +171,16 @@ def test_invalid_config_exits_two(tmp_path, capsys, config):
     assert main(["analyze", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: config {next(iter(config))}:")
+    assert "Traceback" not in err
+
+
+def test_levels_flag_is_gone(tmp_path, capsys):
+    path = demo_path(tmp_path, "tail-shift")
+    with pytest.raises(SystemExit) as exc:
+        main(["dilation", path, "--levels", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --levels 3" in err
     assert "Traceback" not in err
 
 

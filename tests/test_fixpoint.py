@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from cpfix.vnalg import (
     AlgebraElement,
     BlockStructure,
     _norms,
+    amplify_combination,
     compress,
     element_from_coords,
     embed,
@@ -44,7 +46,6 @@ from cpfix.dilation import (
 from cpfix.fixpoint import (
     FixedSpace,
     _orthonormal_columns,
-    _sampled_defects,
     check_complete_isometry,
     cstar_closure,
     ergodic_projection,
@@ -364,12 +365,12 @@ def test_lift_rejects_nonfixed():
 
 def test_complete_isometry_tail_shift():
     inst = build_tail_shift(2, 2, PAULI_X)
-    rep = check_complete_isometry(inst, levels=3, samples=50, seed=0)
+    rep = check_complete_isometry(inst)
     assert rep.passed and rep.bijective
-    assert rep.route == "certificate" and rep.level_defects == {}
+    assert rep.route == "certificate"
     assert rep.dim_ambient_fixed == rep.dim_corner_fixed == 2
     assert rep.max_defect <= 1e-8
-    assert rep.max_defect == max(-rep.choi_floor, rep.unit_defect, rep.left_inverse_defect, 0.0)
+    assert rep.max_defect == max(-rep.choi_floor, rep.unit_excess, rep.left_inverse_defect, 0.0)
     # x = (X, X, X) compresses to X with equal norms
     x = AlgebraElement(inst.structure, (PAULI_X, PAULI_X, PAULI_X))
     assert abs(x.norm() - 1.0) < 1e-12
@@ -399,8 +400,28 @@ def looped_isometry_defects(inst, levels, samples, seed):
     return defects
 
 
+def _sampled_defects(basis, compressed, levels: int, samples: int, seed: int) -> dict:
+    """Largest relative norm defect of compression on samples of M_k(M^alpha), per level k = 1..levels.
+
+    Samples random complex combinations sum_j kron(C_j, b_j) over the
+    ambient fixed basis and compares amplified operator norms before and
+    after compression.  Each level draws, amplifies and takes norms of all
+    its samples at once.
+    """
+    rng = np.random.default_rng(seed)
+    level_defects = {}
+    for k in range(1, levels + 1):
+        # the numbers random_complex(rng, k, k) draws per sample and basis element, in its order
+        g = rng.standard_normal((samples, len(basis), 2, k, k))
+        coeffs = (g[:, :, 0] + 1j * g[:, :, 1]) / np.sqrt(2.0)
+        nx = np.max([op_norm(b) for b in amplify_combination(coeffs, basis)], axis=0)
+        nex = np.max([op_norm(b) for b in amplify_combination(coeffs, compressed)], axis=0)
+        level_defects[k] = float(np.max(np.abs(nx - nex) / np.maximum(1.0, nx), initial=0.0))
+    return level_defects
+
+
 def sampled_defects(inst, levels, samples, seed):
-    """The sampled levels of check_complete_isometry, whatever route the check itself takes."""
+    """Oracle for check_complete_isometry: the sampled norm defects of E on M_k(M^alpha), k = 1..levels."""
     basis = fixed_space(inst.alpha).basis
     return _sampled_defects(basis, [compress(inst.emb, b) for b in basis], levels, samples, seed)
 
@@ -422,37 +443,36 @@ def test_complete_isometry_matches_looped_reference():
         for k in ref:
             assert abs(got[k] - ref[k]) <= 1e-12
     assert max(sampled_defects(minimal, 3, 40, 5).values()) <= 1e-12
-    rep = check_complete_isometry(nonminimal, levels=3, samples=40, seed=5)
-    assert rep.route == "sampled" and rep.level_defects == sampled_defects(nonminimal, 3, 40, 5)
+    assert all(defect > 1e-3 for defect in sampled_defects(nonminimal, 3, 40, 5).values())
+    rep = check_complete_isometry(nonminimal)
+    assert rep.route == "certificate"
     assert rep.dim_ambient_fixed == 8 and rep.dim_corner_fixed == rep.compression_rank == 4
     assert rep.passed is False and rep.bijective is False
-    assert all(defect > 1e-3 for defect in rep.level_defects.values())
-    # rho_alpha is the identity, so R = inject: CP, but R(1_N) = p and R E (1 - p) = 0
-    assert (rep.choi_floor, rep.unit_defect, rep.left_inverse_defect) == (0.0, 1.0, 1.0)
+    # rho_alpha is the identity, so R = inject: CP, and R(1_N) = p has norm 1, but R E (1 - p) = 0
+    assert np.allclose((rep.choi_floor, rep.unit_excess, rep.left_inverse_defect), (0.0, 0.0, 1.0), atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_certificate_verdict_equals_sampled_verdict(d):
-    """On random dilations and both controls the certificate decides as the sampled levels do."""
+    """On random dilations and both controls the certificate decides as the sampled oracle does."""
     cases = [build_random_instance(seed, d=d) for seed in range(40)]
     cases += [nonminimal_identity_instance(), build_tail_shift(2, 2, PAULI_X)]
     routes = set()
     for inst in cases:
-        rep = check_complete_isometry(inst, levels=3, samples=30, seed=1)
+        rep = check_complete_isometry(inst)
         sampled = max(sampled_defects(inst, 3, 30, 1).values())
         assert rep.passed == (rep.bijective and sampled <= 1e-8)
-        if rep.route == "certificate":
-            assert sampled <= 1e-8
-            assert rep.choi_floor >= -1e-8 and rep.unit_defect <= 1e-8 and rep.left_inverse_defect <= 1e-8
+        if rep.passed:
+            assert rep.choi_floor >= -1e-8 and rep.unit_excess <= 1e-8 and rep.left_inverse_defect <= 1e-8
         routes.add(rep.route)
-    assert routes == {"certificate", "sampled"}
+    assert routes == {"certificate"}
 
 
 def transpose_instance():
     """M_2 with p = 1, under a generator whose superoperator is the transpose: positive, not CP.
 
     M^alpha is the symmetric matrices and E is the identity, so the sampled
-    levels pass, but R = rho_alpha = (id + transpose)/2 has Choi floor -1/2.
+    oracle passes, but R = rho_alpha = (id + transpose)/2 has Choi floor -1/2.
     """
     eye = np.eye(2, dtype=complex)
     alpha = make_family([identity_map(M2)], expect_endomorphic=True)
@@ -466,26 +486,65 @@ def transpose_instance():
 def nonunital_instance():
     """alpha(x_0, x_1) = (x_0, 0) on C + C with p = (1, 0): minimal, and E is bijective and isometric.
 
-    R inverts E on M^alpha = C + 0 and is CP, but R(1_N) = p: the unit
-    defect alone fails.
+    R inverts E on M^alpha = C + 0 and is CP with R(1_N) = p, of norm 1.
     """
     st = BlockStructure((1, 1))
     alpha = make_family([cp_map(st, st, {(0, 0): [np.eye(1)]})], expect_endomorphic=True)
     return make_instance(alpha, AlgebraElement(st, (np.eye(1), np.zeros((1, 1)))))
 
 
+def stretched_instance():
+    """C + C with p = (1, 0), phi the identity on C, and alpha's superoperator (x_0, x_1) -> (x_0, 2 x_0).
+
+    M^alpha = span (1, 2) and E is bijective, and R(y) = (y, 2y) is a CP
+    left inverse of E with ||R(1_N)|| = 2: E halves the norm of every x.
+    """
+    st = BlockStructure((1, 1))
+    inst = nonunital_instance()
+    stretch = identity_map(st)
+    vars(stretch)["superop"] = np.array([[1, 0], [2, 0]], dtype=complex)
+    fake = SemigroupFamily(st, (stretch,), is_endomorphic=True)
+    return DilationInstance(st, fake, inst.p, inst.emb, inst.phi)
+
+
 @pytest.mark.parametrize(
-    "build, residuals",
-    [(transpose_instance, (-0.5, 0.0, 0.0)), (nonunital_instance, (0.0, 1.0, 0.0))],
+    "build, residuals, passed, oracle",
+    [
+        pytest.param(transpose_instance, (-0.5, 0.0, 0.0), False, 0.0, id="transpose_instance"),
+        pytest.param(nonunital_instance, (0.0, 0.0, 0.0), True, 0.0, id="nonunital_instance"),
+        pytest.param(stretched_instance, (1.0, 1.0, 0.0), False, 0.5, id="stretched_instance"),
+    ],
 )
-def test_one_failed_residual_falls_back_to_sampling(build, residuals):
+def test_one_residual_decides_the_certificate(build, residuals, passed, oracle):
+    """Each certificate residual alone decides a bijective instance.
+
+    The certificate is sufficient only on CP inputs, and validation admits
+    only CP inputs: on the transpose, which is positive but not CP, E is
+    isometric at every level, yet the certificate fails on its Choi floor.
+    """
     inst = build()
-    rep = check_complete_isometry(inst, levels=2, samples=20, seed=0)
-    got = (rep.choi_floor, rep.unit_defect, rep.left_inverse_defect)
+    rep = check_complete_isometry(inst)
+    got = (rep.choi_floor, rep.unit_excess, rep.left_inverse_defect)
     assert np.allclose(got, residuals, atol=1e-12)
-    assert rep.bijective and rep.route == "sampled"
-    assert rep.passed and set(rep.level_defects) == {1, 2}
-    assert rep.max_defect == max(rep.level_defects.values()) <= 1e-12
+    assert rep.bijective and rep.route == "certificate" and rep.passed is passed
+    assert rep.max_defect == max(-rep.choi_floor, rep.unit_excess, rep.left_inverse_defect, 0.0)
+    defects = sampled_defects(inst, 3, 20, 0)
+    assert set(defects) == {1, 2, 3} and np.allclose(list(defects.values()), oracle, atol=1e-12)
+
+
+def test_certificate_requires_a_surjective_compression():
+    """A tail shift whose phi is replaced by the identity on the corner: dim N^phi > dim M^alpha.
+
+    R is built from alpha alone, so the certificate residuals still hold
+    and E is isometric, but E does not map onto N^phi.
+    """
+    inst = build_tail_shift(2, 2, np.diag(np.exp(1j * np.pi / 3 * np.arange(2))))
+    inst = dataclasses.replace(inst, phi=identity_family(inst.emb.corner))
+    rep = check_complete_isometry(inst)
+    assert (rep.dim_ambient_fixed, rep.dim_corner_fixed, rep.compression_rank) == (2, 4, 2)
+    assert rep.bijective is False and rep.passed is False and rep.route == "certificate"
+    assert rep.max_defect <= 1e-12
+    assert max(sampled_defects(inst, 3, 20, 0).values()) <= 1e-12
 
 
 def test_kernel_ideal_trivial_models():
