@@ -658,7 +658,10 @@ DEMO_FAMILIES = {
 def cmd_demo(family: str, params: dict, out_path: str) -> dict:
     if family not in DEMO_FAMILIES:
         raise UnknownFamily(f"unknown demo family {family!r}; choose from {sorted(DEMO_FAMILIES)}")
-    data = DEMO_FAMILIES[family](params or {})
+    try:
+        data = DEMO_FAMILIES[family](params or {})
+    except (TypeError, ValueError) as exc:  # a parameter that does not convert, or a negative seed
+        raise ParseError(f"demo {family}: bad parameter: {exc}") from None
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")

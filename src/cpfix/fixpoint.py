@@ -24,7 +24,7 @@ from .errors import (
     NotFixed,
     NotInCStar,
 )
-from .matcore import nullspace, nullspace_pair, op_norm, psd_sqrt, random_unit_vector
+from .matcore import nullspace, op_norm, psd_sqrt, random_unit_vector
 from .vnalg import (
     AlgebraElement,
     BlockStructure,
@@ -184,82 +184,75 @@ class ErgodicProjection:
         return int(round(np.trace(self.matrix).real))
 
 
-def _mean_projection(s: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Cesaro limit of averages of powers of a power-bounded superoperator.
+@_cached_on_argument
+def _splitting(family: SemigroupFamily) -> tuple[np.ndarray, dict]:
+    """rho = B (W* B)^{-1} W* and its diagnostics, from the fixed basis B and one SVD for W.
 
-    The limit is the projection onto ker(1 - S) along ran(1 - S); both
-    spaces come out of one SVD and the oblique projection formula
-    V (W* V)^{-1} W* evaluates the limit exactly, avoiding the slow O(1/N)
-    tail of literal averaging.
+    W spans the joint kernel of the stacked (S_i - 1)*.  The generators
+    commute and are power bounded, so the product of their Cesaro limits
+    projects onto the joint fixed space along sum_i ran(1 - S_i), which is
+    (intersection of ker (S_i - 1)*)^perp: that product is rho.
     """
-    d = s.shape[0]
-    left, right = nullspace_pair(np.eye(d) - s, FIXED_TOL)
-    r = right.shape[1]
+    b = fixed_space(family).matrix
+    eye = np.eye(b.shape[0])
+    w = nullspace(np.vstack([g.superop.conj().T - eye for g in family.generators]), FIXED_TOL)
+    r = b.shape[1]
     diag = {"fixed_dim": int(r)}
+    if w.shape[1] != r:
+        raise NoConvergence(f"fixed space has dimension {r} but its dual {w.shape[1]}; family is not power bounded")
     if r == 0:
-        return np.zeros_like(s), diag
-    g = left.conj().T @ right
+        return np.zeros((b.shape[0], b.shape[0]), dtype=complex), diag
+    g = w.conj().T @ b
     sv = np.linalg.svd(g, compute_uv=False)
     diag["splitting_cond"] = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     if sv[-1] <= 1e-12 * sv[0]:
         raise NoConvergence("fixed space meets the range of (1 - S); map is not power bounded")
-    p = right @ np.linalg.solve(g, left.conj().T)
-    return p, diag
+    return b @ np.linalg.solve(g, w.conj().T), diag
 
 
-def _cesaro_check(s: np.ndarray, p: np.ndarray) -> dict:
-    """Doubling Cesaro averages A_{2N} = (A_N + S^N A_N)/2 up to CESARO_CAP terms."""
-    avg = np.eye(s.shape[0], dtype=complex)
-    pw = s.copy()
-    terms, steps = 1, 0
-    step = np.zeros_like(avg)  # the last increment; only its norm is reported
-    while 2 * terms <= CESARO_CAP:
-        nxt = 0.5 * (avg + pw @ avg)
-        step = nxt - avg
-        avg = nxt
-        pw = pw @ pw
-        terms *= 2
-        steps += 1
+def _cesaro_check(family: SemigroupFamily, rho: np.ndarray) -> dict:
+    """The product of each generator's doubling Cesaro average A_{2N} = (A_N + S^N A_N)/2, against rho.
+
+    Each average runs to the largest power of two within CESARO_CAP terms;
+    the increment is the largest last step among the generators.
+    """
+    steps = CESARO_CAP.bit_length() - 1
+    eye = np.eye(rho.shape[0], dtype=complex)
+    avgs, increment = [], 0.0
+    for gen in family.generators:
+        avg, pw = eye, gen.superop
+        for _ in range(steps):
+            nxt = 0.5 * (avg + pw @ avg)
+            step, avg, pw = nxt - avg, nxt, pw @ pw
+        avgs.append(avg)
+        increment = max(increment, float(op_norm(step)))
     return {
-        "cesaro_terms": int(terms),
-        "cesaro_steps": int(steps),
-        "cesaro_increment": float(op_norm(step)),
-        "cesaro_gap": float(op_norm(avg - p)),
+        "cesaro_terms": 2**steps,
+        "cesaro_steps": steps,
+        "cesaro_increment": increment,
+        "cesaro_gap": float(op_norm(functools.reduce(np.matmul, avgs) - rho)),
     }
 
 
 @_cached_on_argument
 def ergodic_projection(family: SemigroupFamily) -> ErgodicProjection:
-    """rho = P_1 ... P_d, the product of per-generator mean projections.
+    """rho, the mean ergodic projection onto the joint fixed space, from `_splitting`.
 
-    Each P_i is a limit of polynomials in the i-th generator, so the
-    factors commute and the product projects onto the joint fixed space.
-    Defining relations are verified before returning.
+    rho equals the product of the per-generator Cesaro limits, which the
+    diagnostics compare with the product of their doubling averages.  The
+    generators must be contractive, and rho must be idempotent, fixed by
+    every generator on either side, completely positive and contractive.
     """
     st = family.structure
-    per_gen = []
-    projs = []
     for idx, gen in enumerate(family.generators):
         rep = validate_cp(gen)
         if not rep.is_contractive:
             raise NotContractive(f"generator {idx} has phi(1) > 1 (floor {rep.contractive_floor:g})")
-        s = gen.superop
-        p, diag = _mean_projection(s)
-        diag.update(_cesaro_check(s, p))
-        diag["generator"] = idx
-        per_gen.append(diag)
-        projs.append((s, p))
-    rho = np.eye(st.coord_dim, dtype=complex)
-    for _, p in projs:
-        rho = rho @ p
+    rho, splitting = _splitting(family)
     defects = {
         "idempotency": op_norm(rho @ rho - rho),
-        "intertwine_left": max(op_norm(s @ rho - rho) for s, _ in projs),
-        "intertwine_right": max(op_norm(rho @ s - rho) for s, _ in projs),
-        "commutation": max(
-            (op_norm(p1 @ p2 - p2 @ p1) for _, p1 in projs for _, p2 in projs),
-            default=0.0,
-        ),
+        "intertwine_left": max(op_norm(g.superop @ rho - rho) for g in family.generators),
+        "intertwine_right": max(op_norm(rho @ g.superop - rho) for g in family.generators),
     }
     for name, value in defects.items():
         if value > 1e-8:
@@ -274,7 +267,8 @@ def ergodic_projection(family: SemigroupFamily) -> ErgodicProjection:
     if one_excess > 1e-9:
         raise NoConvergence(f"ergodic projection is not contractive (rho(1) exceeds 1 by {one_excess:g})")
     diagnostics = {
-        "per_generator": per_gen,
+        **splitting,
+        **_cesaro_check(family, rho),
         "defects": {k: float(v) for k, v in defects.items()},
         "choi_floor": float(choi_floor),
         "one_excess": float(one_excess),
@@ -411,18 +405,15 @@ class IsometryReport:
 def _left_inverse_residuals(instance: DilationInstance, fs_ambient: FixedSpace, comp_cols: np.ndarray):
     """Residuals of R = rho_alpha o inject : N -> M as a contractive CP left inverse of E on M^alpha.
 
-    rho_alpha is the product of the per-generator mean projections of
-    alpha, without the Cesaro and Choi checks of ergodic_projection.
+    rho_alpha is the family's shared `_splitting`, without the Cesaro and
+    Choi checks of ergodic_projection.
     Returns the smallest eigenvalue of R's blockwise Choi matrices,
     ||R(1_N)|| - 1 (the cb-norm of a CP map, less 1) and
     max ||R E b - b|| over the ambient fixed basis, whose compressions are
     the columns of comp_cols.
     """
     emb = instance.emb
-    rho = np.eye(emb.ambient.coord_dim, dtype=complex)
-    for gen in instance.alpha.generators:
-        rho = rho @ _mean_projection(gen.superop)[0]
-    r = rho @ _injected(emb, np.eye(emb.corner.coord_dim))
+    r = _splitting(instance.alpha)[0] @ _injected(emb, np.eye(emb.corner.coord_dim))
     choi_floor = choi_min_eig(r, emb.ambient, emb.corner)
     # column 0: R(1_N); column 1 + k: R E b_k - b_k
     cols = r @ np.hstack([identity_element(emb.corner).coords()[:, None], comp_cols])

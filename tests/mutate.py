@@ -80,6 +80,14 @@ MUTANTS = {
         VNALG,
         [("within = np.linalg.norm(v, axis=0) <= 0.5 * bound", "within = np.linalg.norm(v, axis=0) <= bound")],
     ),
+    "splitting-first-generator": (
+        FIXPOINT,
+        [("g.superop.conj().T - eye for g in family.generators]", "g.superop.conj().T - eye for g in family.generators[:1]]")],
+    ),
+    "splitting-dimension-guard-dropped": (
+        FIXPOINT,
+        [("    if w.shape[1] != r:\n        raise NoConvergence(", "    if False:\n        raise NoConvergence(")],
+    ),
     "limit-check-screen-only": (FIXPOINT, [("    if not on.all():\n", "    if False:\n")]),
     "isometry-unit-defect-dropped": (
         FIXPOINT,

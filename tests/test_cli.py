@@ -211,7 +211,7 @@ def test_derived_objects_built_once_per_family(tmp_path, monkeypatch):
     counts = count_calls(
         monkeypatch,
         ("cpsemi.to_superoperator", "cpsemi.validate_family", "cpsemi.compose", "dilation.MinimalityResult")
-        + ("dilation.element_is_psd",)
+        + ("dilation.element_is_psd", "matcore.nullspace", "matcore.nullspace_pair")
         + results,
     )
     cmd_dilation(dilation)
@@ -225,37 +225,54 @@ def test_derived_objects_built_once_per_family(tmp_path, monkeypatch):
     assert counts["dilation.MinimalityResult"] == 1
     # compression and minimality share one co-invariance check: one PSD test per generator
     assert counts["dilation.element_is_psd"] == 2
+    # one reduced SVD each: N^phi and M^alpha, the dual kernel W of rho_phi and of rho_alpha, the kernel-ideal check
+    assert (counts["matcore.nullspace"], counts["matcore.nullspace_pair"]) == (5, 0)
 
     counts.update(dict.fromkeys(counts, 0))
     cmd_analyze(mixture)
     assert counts["cpsemi.to_superoperator"] == 2
     assert counts["cpsemi.validate_family"] == 1
     assert [counts[name] for name in results] == [1, 1, 1]
+    assert (counts["matcore.nullspace"], counts["matcore.nullspace_pair"]) == (3, 0)
 
 
 def test_loose_convergence_tol_is_an_ergodic_projection_error(tmp_path, monkeypatch):
-    # mean projections split off at 1e-2 while fixed_space keeps FIXED_TOL: leaky damping's slow
-    # direction joins the range of rho, which then fails its intertwining check
+    # the dual kernel W splits off at 1e-2 while fixed_space keeps FIXED_TOL: leaky damping's slow
+    # directions join W, whose dimension then exceeds that of the fixed space
     path = demo_path(tmp_path, "leaky-damping", {"c": "0.999", "s": "0.03"})
-    mean_projection = fixpoint._mean_projection
+    splitting = fixpoint._splitting
 
-    def loose(s):
+    def loose(family):
         with monkeypatch.context() as m:
             m.setattr(fixpoint, "FIXED_TOL", 1e-2)
-            return mean_projection(s)
+            return splitting(family)
 
-    monkeypatch.setattr(fixpoint, "_mean_projection", loose)
+    monkeypatch.setattr(fixpoint, "_splitting", loose)
     counts = count_calls(monkeypatch, ("fixpoint.ErgodicProjection",))
     rep = cmd_analyze(path)
     by_task = {e["task"]: e for e in rep["entries"]}
     note = by_task["ergodic_projection"]["note"]
     assert by_task["ergodic_projection"]["status"] == "ERROR"
-    assert "failed intertwine_left check" in note
+    assert "fixed space has dimension 1 but its dual" in note
     assert rep["exit_code"] == 2
     # the suite fails the rows that need rho with the report's error, and builds no rho of its own
     for task in ("suite:limit_vs_mean", "suite:choi_effros", "suite:vector_bound"):
         assert (by_task[task]["status"], by_task[task]["note"]) == ("FAIL", note)
     assert counts["fixpoint.ErgodicProjection"] == 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["damping", "gamma=abc"], ["tail-shift", "n=x"], ["random-mixture", "dims=2,a"]]
+    + [["tail-shift", "unitary=random", "seed=-1"]],
+)
+def test_malformed_demo_parameter_exits_two(tmp_path, capsys, args):
+    out = tmp_path / "demo.json"
+    assert main(["demo", *args, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: demo {args[0]}: bad parameter: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_unknown_demo_family(tmp_path):

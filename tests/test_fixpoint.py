@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cpfix import fixpoint
 from cpfix.errors import CpfixError, Divergent, NoConvergence, NotContractive, NotFixed, NotInCStar
-from cpfix.matcore import nullspace, op_norm, psd_sqrt, random_complex, random_unit_vector, random_unitary
+from cpfix.matcore import nullspace, nullspace_pair, op_norm, psd_sqrt, random_complex, random_unit_vector, random_unitary
 from cpfix.vnalg import (
     AlgebraElement,
     BlockStructure,
@@ -171,9 +171,9 @@ def test_ergodic_invariants():
         for b in fs.basis:
             assert (erg.apply(b) - b).norm() <= 1e-8
         # cesaro cross-check shrinks toward the projection
-        for diag in erg.diagnostics["per_generator"]:
-            assert diag["cesaro_terms"] >= 2**19
-            assert diag["cesaro_gap"] <= 1e-3
+        assert erg.diagnostics["fixed_dim"] == fs.dimension
+        assert erg.diagnostics["cesaro_terms"] >= 2**19
+        assert erg.diagnostics["cesaro_gap"] <= 1e-3
 
 
 def test_ergodic_leaky_oracle():
@@ -191,6 +191,70 @@ def test_ergodic_rejects_noncontractive():
 
     with pytest.raises(NotContractive):
         ergodic_projection(SemigroupFamily(M2, (doubling,)))
+
+
+def _mean_projection(s: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Cesaro limit of averages of powers of a power-bounded superoperator.
+
+    The limit is the projection onto ker(1 - S) along ran(1 - S); both
+    spaces come out of one SVD and the oblique projection formula
+    V (W* V)^{-1} W* evaluates the limit exactly, avoiding the slow O(1/N)
+    tail of literal averaging.
+    """
+    d = s.shape[0]
+    left, right = nullspace_pair(np.eye(d) - s, fixpoint.FIXED_TOL)
+    r = right.shape[1]
+    diag = {"fixed_dim": int(r)}
+    if r == 0:
+        return np.zeros_like(s), diag
+    g = left.conj().T @ right
+    sv = np.linalg.svd(g, compute_uv=False)
+    diag["splitting_cond"] = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+    if sv[-1] <= 1e-12 * sv[0]:
+        raise NoConvergence("fixed space meets the range of (1 - S); map is not power bounded")
+    p = right @ np.linalg.solve(g, left.conj().T)
+    return p, diag
+
+
+def looped_rho(family):
+    """Reference rho: the product of the per-generator mean projections, one full SVD each."""
+    rho = np.eye(family.structure.coord_dim, dtype=complex)
+    for gen in family.generators:
+        rho = rho @ _mean_projection(gen.superop)[0]
+    return rho
+
+
+def gap_models(gap):
+    """Damping, rotation and leaky damping whose slowest decay is set by gap."""
+    return [damping_family(gap), rotation_family(gap), leaky_damping_family(np.sqrt(1.0 - gap), np.sqrt(gap / 2.0))]
+
+
+def test_shared_rho_matches_the_per_generator_product(monkeypatch):
+    instances = [build_random_instance(seed, d=d) for seed in range(30) for d in (1, 2)]
+    bare = [mixture_family(seed, dims=(2, 3), terms=3, d=d) for seed in range(10) for d in (1, 2)]
+    bare += gap_models(0.25) + gap_models(1e-6) + [identity_family(M2, d=2)]
+    want = {fam: looped_rho(fam) for fam in bare + [f for inst in instances for f in (inst.phi, inst.alpha)]}
+    for fam, rho in want.items():
+        assert op_norm(fixpoint._splitting(fam)[0] - rho) <= 1e-12
+    for fam in bare + [inst.phi for inst in instances]:
+        assert ergodic_projection(fam).matrix is fixpoint._splitting(fam)[0]
+    # the certificate's R = rho_alpha o inject: its residuals with the reference rho_alpha are the same
+    fields = ("choi_floor", "unit_excess", "left_inverse_defect", "max_defect")
+    shared = [check_complete_isometry(inst) for inst in instances]
+    monkeypatch.setattr(fixpoint, "_splitting", lambda fam: (want[fam], {}))
+    for inst, got in zip(instances, shared):
+        ref = check_complete_isometry(inst)
+        assert got.passed == ref.passed
+        assert np.allclose([getattr(got, f) for f in fields], [getattr(ref, f) for f in fields], rtol=0, atol=1e-12)
+
+
+def test_splitting_dimension_mismatch_is_no_convergence(monkeypatch):
+    # the dual kernel W taken at 1e-2 holds leaky damping's slow directions, the fixed basis does not
+    fam = leaky_damping_family(0.999, 0.03)
+    assert fixed_space(fam).dimension == 1
+    monkeypatch.setattr(fixpoint, "FIXED_TOL", 1e-2)
+    with pytest.raises(NoConvergence, match="fixed space has dimension 1 but its dual"):
+        ergodic_projection(fam)
 
 
 def test_phi_limit_fixed_point_immediate():
