@@ -265,6 +265,7 @@ def test_loose_convergence_tol_is_an_ergodic_projection_error(tmp_path, monkeypa
     "args",
     [["damping", "gamma=abc"], ["tail-shift", "n=x"], ["random-mixture", "dims=2,a"]]
     + [["tail-shift", "unitary=random", "seed=-1"]],
+    ids="-".join,
 )
 def test_malformed_demo_parameter_exits_two(tmp_path, capsys, args):
     out = tmp_path / "demo.json"
