@@ -13,7 +13,6 @@ through d pairwise-commuting generators.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from functools import cached_property, wraps
 
@@ -28,13 +27,15 @@ CHOI_PRUNE_TOL = 1e-13
 
 
 def _cached_on_argument(fn):
-    """Memoise fn(obj, ...) on obj, keyed by the remaining bound arguments.
+    """Memoise fn(obj, *args) on obj, keyed by (fn.__name__, *args).
 
-    Families, fixed spaces and elements are immutable, so a result computed
-    once serves every later call with the same arguments.  A CpfixError
-    that fn raised is remembered too, and raised again by those calls.
+    Families, fixed spaces, instances and elements are immutable, so a
+    result computed once serves every later call with the same arguments.
+    The key is the positional arguments as passed: memoised functions take
+    positional arguments only and have no defaults, so a lookup costs one
+    tuple and one dict probe.  A CpfixError that fn raised is remembered
+    too, and raised again by those calls.
     """
-    signature = inspect.signature(fn)
 
     def result(value):
         if isinstance(value, CpfixError):
@@ -43,14 +44,12 @@ def _cached_on_argument(fn):
         return value
 
     @wraps(fn)
-    def cached(obj, *args, **kwargs):
-        bound = signature.bind(obj, *args, **kwargs)
-        bound.apply_defaults()
-        key = (fn.__name__, *list(bound.arguments.values())[1:])
+    def cached(obj, *args):
+        key = (fn.__name__, *args)
         memo = vars(obj).setdefault("_derived", {})
         if key not in memo:
             try:
-                memo[key] = fn(obj, *args, **kwargs)
+                memo[key] = fn(obj, *args)
             except CpfixError as exc:
                 memo[key] = exc
                 raise
@@ -420,7 +419,9 @@ def mixture_family(seed, dims=(2, 3), terms: int = 3, d: int = 1, discrete_prob:
 
 
 def mixture_family_with_data(seed, dims=(2, 3), terms: int = 3, d: int = 1, discrete_prob: float = 0.5):
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    if terms < 1:
+        raise ValueError(f"mixture needs at least one term, got terms={terms}")
+    rng =seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     st = BlockStructure(tuple(dims))
     bases = [random_unitary(rng, n) for n in st.block_dims]
     gen_maps = []

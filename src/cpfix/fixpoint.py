@@ -39,7 +39,6 @@ from .vnalg import (
     _star,
     element_from_coords,
     identity_element,
-    inject,
 )
 from .cpsemi import SemigroupFamily, _cached_on_argument, choi_min_eig, validate_cp
 from .dilation import DilationInstance, Minimality, check_minimality
@@ -341,14 +340,52 @@ def phi_limit(family: SemigroupFamily, y: AlgebraElement) -> AlgebraElement:
     return _limit(family, y, STALLED)
 
 
+@_cached_on_argument
+def _cstar_lifts(instance: DilationInstance) -> tuple[np.ndarray, np.ndarray, bool]:
+    """pi on the C*(N^phi) basis: the basis B, the limits Z of its injected columns, and whether all converged.
+
+    One doubling iteration per instance.  The orbit of inject(B c) is
+    sum_j c_j times the orbits of the basis columns, and a generator that
+    fixes every column of Z fixes Z c, so pi(B c) = Z c.
+    """
+    b = cstar_closure(fixed_space(instance.phi)).matrix
+    z, errors = _diagonal_limits(instance.alpha, _injected(instance.emb, b), "ambient " + STALLED)
+    return b, z, all(err is None for err in errors)
+
+
+def _pi_limits(instance: DilationInstance, y: np.ndarray):
+    """pi_limit of every column of a corner coordinate block: the limits and, per column, its error or None.
+
+    When every C*(N^phi) basis column converged, the limits are Z (B* y)
+    from `_cstar_lifts`, with no iteration per column.  Otherwise every
+    column runs its own iteration, which keeps the Divergent of its orbit.  A
+    column farther than SPAN_TOL max(1, ||y||) from C*(N^phi) gets
+    NotInCStar, in place of any Divergent.
+    """
+    b, z, converged = _cstar_lifts(instance)
+    c = b.conj().T @ y
+    if converged:
+        lims, errors = z @ c, [None] * y.shape[1]
+    else:
+        lims, errors = _diagonal_limits(instance.alpha, _injected(instance.emb, y), "ambient " + STALLED)
+    gaps = np.linalg.norm(y - b @ c, axis=0)
+    far = np.flatnonzero(gaps > SPAN_TOL)  # only these need the norms of their elements
+    for j in far[gaps[far] > SPAN_TOL * np.maximum(1.0, _norms(instance.emb.corner, y[:, far]))]:
+        errors[j] = NotInCStar(f"element is {gaps[j]:g} away from C*(N^phi); limit not guaranteed")
+    return lims, errors
+
+
 def pi_limit(instance: DilationInstance, y: AlgebraElement, cstar: CStarSpan | None = None) -> AlgebraElement:
-    """Diagonal limit of alpha_s(y) for y in C*(N^phi), landing in M^alpha."""
-    if cstar is None:
-        cstar = cstar_closure(fixed_space(instance.phi))
-    gap = span_distance(cstar.matrix, y.coords())
-    if _exceeds(gap, SPAN_TOL, y.norm):
-        raise NotInCStar(f"element is {gap:g} away from C*(N^phi); limit not guaranteed")
-    return _limit(instance.alpha, inject(instance.emb, y), "ambient " + STALLED)
+    """Diagonal limit of alpha_s(y) for y in C*(N^phi), landing in M^alpha.
+
+    One column of `_pi_limits`: after the instance's first call, a lookup
+    and a matrix product.  Raises NotInCStar for y outside C*(N^phi), else
+    Divergent when the limit fails.  `cstar` is accepted and ignored.
+    """
+    z, (error,) = _pi_limits(instance, y.coords()[:, None])
+    if error is not None:
+        raise error
+    return element_from_coords(instance.structure, z[:, 0])
 
 
 def lift_fixed_point(instance: DilationInstance, y: AlgebraElement, agreement_tol: float = 1e-7) -> AlgebraElement:
@@ -545,16 +582,6 @@ def _hermitian_floor(structure: BlockStructure, vs) -> float:
             w = np.linalg.eigvalsh(0.5 * (b + b.conj().swapaxes(-1, -2)))
             worst = min(worst, float(np.min(w, initial=np.inf)))
     return worst
-
-
-def _pi_limits(instance: DilationInstance, y: np.ndarray):
-    """pi_limit of every column of a corner coordinate block: the limits and, per column, its error or None."""
-    z, errors = _diagonal_limits(instance.alpha, _injected(instance.emb, y), "ambient " + STALLED)
-    gaps = span_distance(cstar_closure(fixed_space(instance.phi)).matrix, y)
-    far = np.flatnonzero(gaps > SPAN_TOL)  # only these need the norms of their elements
-    for j in far[gaps[far] > SPAN_TOL * np.maximum(1.0, _norms(instance.emb.corner, y[:, far]))]:
-        errors[j] = NotInCStar(f"element is {gaps[j]:g} away from C*(N^phi); limit not guaranteed")
-    return z, errors
 
 
 def _beta(powers: list, s_idx: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -89,6 +89,14 @@ MUTANTS = {
         [("    if w.shape[1] != r:\n        raise NoConvergence(", "    if False:\n        raise NoConvergence(")],
     ),
     "limit-check-screen-only": (FIXPOINT, [("    if not on.all():\n", "    if False:\n")]),
+    "cstar-lifts-ignore-basis-errors": (
+        FIXPOINT,
+        [("return b, z, all(err is None for err in errors)", "return b, z, True")],
+    ),
+    "pi-limit-span-check-dropped": (
+        FIXPOINT,
+        [("far = np.flatnonzero(gaps > SPAN_TOL)  # only these", "far = np.flatnonzero(gaps > np.inf)  # only these")],
+    ),
     "isometry-unit-defect-dropped": (
         FIXPOINT,
         [("max(-choi_floor, unit_excess, left_defect, 0.0)", "max(-choi_floor, left_defect, 0.0)")],

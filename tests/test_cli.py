@@ -211,7 +211,7 @@ def test_derived_objects_built_once_per_family(tmp_path, monkeypatch):
     counts = count_calls(
         monkeypatch,
         ("cpsemi.to_superoperator", "cpsemi.validate_family", "cpsemi.compose", "dilation.MinimalityResult")
-        + ("dilation.element_is_psd", "matcore.nullspace", "matcore.nullspace_pair")
+        + ("dilation.element_is_psd", "matcore.nullspace", "matcore.nullspace_pair", "fixpoint._diagonal_limits")
         + results,
     )
     cmd_dilation(dilation)
@@ -227,6 +227,8 @@ def test_derived_objects_built_once_per_family(tmp_path, monkeypatch):
     assert counts["dilation.element_is_psd"] == 2
     # one reduced SVD each: N^phi and M^alpha, the dual kernel W of rho_phi and of rho_alpha, the kernel-ideal check
     assert (counts["matcore.nullspace"], counts["matcore.nullspace_pair"]) == (5, 0)
+    # the suite's limit_vs_mean block, and one C*(N^phi) basis block that both lifting rows read
+    assert counts["fixpoint._diagonal_limits"] == 2
 
     counts.update(dict.fromkeys(counts, 0))
     cmd_analyze(mixture)
@@ -264,7 +266,7 @@ def test_loose_convergence_tol_is_an_ergodic_projection_error(tmp_path, monkeypa
 @pytest.mark.parametrize(
     "args",
     [["damping", "gamma=abc"], ["tail-shift", "n=x"], ["random-mixture", "dims=2,a"]]
-    + [["tail-shift", "unitary=random", "seed=-1"]],
+    + [["tail-shift", "unitary=random", "seed=-1"], ["random-mixture", "terms=0"], ["random-mixture", "terms=-1"]],
     ids="-".join,
 )
 def test_malformed_demo_parameter_exits_two(tmp_path, capsys, args):

@@ -12,6 +12,8 @@ from cpfix.matcore import nullspace, nullspace_pair, op_norm, psd_sqrt, random_c
 from cpfix.vnalg import (
     AlgebraElement,
     BlockStructure,
+    _combos,
+    _injected,
     _norms,
     amplify_combination,
     compress,
@@ -55,6 +57,7 @@ from cpfix.fixpoint import (
     phi_limit,
     pi_limit,
     property_suite,
+    span_distance,
 )
 
 M2 = BlockStructure((2,))
@@ -397,6 +400,113 @@ def test_pi_limit_rejects_outside_cstar():
         pi_limit(inst, y)
 
 
+def reference_pi_limits(instance, y, limits=fixpoint._diagonal_limits):
+    """Reference: pi of each column on its own, the span check and then the doubling iteration of inject(y).
+
+    `limits` is bound to the unpatched _diagonal_limits.  NotInCStar takes
+    the place of any Divergent.
+    """
+    cs = cstar_closure(fixed_space(instance.phi))
+    z, errors = limits(instance.alpha, _injected(instance.emb, y), "ambient " + fixpoint.STALLED)
+    for j in range(y.shape[1]):
+        gap = span_distance(cs.matrix, y[:, j])
+        if gap > fixpoint.SPAN_TOL * max(1.0, element_from_coords(instance.emb.corner, y[:, j]).norm()):
+            errors[j] = NotInCStar(f"element is {gap:g} away from C*(N^phi); limit not guaranteed")
+    return z, errors
+
+
+def nonminimal_identity_instance():
+    st = BlockStructure((2, 2))
+    alpha = make_family([identity_map(st)], expect_endomorphic=True)
+    p = AlgebraElement(st, (np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)))
+    return make_instance(alpha, p)
+
+
+def pi_oracle_instances():
+    """Random dilations (seeds 0-29, d = 1, 2), the Pauli-X and rotation tail shifts, the non-minimal control."""
+    for seed in range(30):
+        for d in (1, 2):
+            yield build_random_instance(seed, d=d)
+    yield build_tail_shift(2, 2, PAULI_X)
+    yield build_tail_shift(3, 3, np.diag(np.exp(1j * np.pi / 3 * np.arange(3))))
+    yield nonminimal_identity_instance()
+
+
+def test_pi_limits_match_the_per_column_reference_and_the_left_inverse():
+    rng = np.random.default_rng(0)
+    for inst in pi_oracle_instances():
+        corner = inst.emb.corner
+        b = cstar_closure(fixed_space(inst.phi)).matrix
+        # the C* basis itself and scaled random combinations of it
+        y = np.hstack([b, 3.0 * _combos(b, rng.standard_normal((4, 2, b.shape[1])))])
+        tol = 1e-12 * np.maximum(1.0, _norms(corner, y))
+        ref, ref_errors = reference_pi_limits(inst, y)
+        z, errors = fixpoint._pi_limits(inst, y)
+        assert errors == ref_errors == [None] * y.shape[1]
+        assert np.all(_norms(inst.structure, z - ref) <= tol)
+        single = np.column_stack([pi_limit(inst, element_from_coords(corner, col)).coords() for col in y.T])
+        assert np.all(_norms(inst.structure, single - ref) <= tol)
+        # the paper's left inverse R = rho_alpha o inject agrees with pi on C*(N^phi)
+        r = fixpoint._splitting(inst.alpha)[0] @ _injected(inst.emb, np.eye(corner.coord_dim))
+        assert np.all(_norms(inst.structure, z - r @ y) <= tol)
+
+
+def test_pi_limits_iterate_once_per_instance(monkeypatch):
+    inst = build_random_instance(3, d=2)
+    limits = fixpoint._diagonal_limits
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1].shape[1])
+        return limits(*args)
+
+    monkeypatch.setattr(fixpoint, "_diagonal_limits", counted)
+    fs = fixed_space(inst.phi)
+    cs = cstar_closure(fs)
+    rng = np.random.default_rng(1)
+    for _ in range(21):
+        pi_limit(inst, combo(cs.matrix, inst.emb.corner, rng))
+    lift_fixed_point(inst, fs.basis[0])
+    # one iteration, of the C*(N^phi) basis block; one per element would make 22
+    assert calls == [cs.dimension]
+
+
+def test_pi_limits_fall_back_per_column_when_a_basis_column_fails(monkeypatch):
+    # conjugation by diag(1, e^{0.7i}) with p = 1: C*(N^phi) is the diagonal, and E01 rotates forever
+    st = BlockStructure((2,))
+    alpha = make_family([conjugation_map(st, [np.diag([1.0, np.exp(0.7j)])])], expect_endomorphic=True)
+    inst = make_instance(alpha, identity_element(st))
+    limits = fixpoint._diagonal_limits
+    basis_blocks = []
+
+    def failing_basis(family, v, stalled):
+        z, errors = limits(family, v, stalled)
+        if not basis_blocks:  # the instance's first call is the basis block of _cstar_lifts
+            basis_blocks.append(v.shape[1])
+            errors[0] = Divergent("basis column 0 forced to fail")
+        return z, errors
+
+    monkeypatch.setattr(fixpoint, "_diagonal_limits", failing_basis)
+    b = cstar_closure(fixed_space(inst.phi)).matrix
+    e00, e01 = unit(0, 0).coords(), unit(0, 1).coords()
+    # in C*(N^phi); within SPAN_TOL of it, but its rotating part never settles; outside it
+    y = np.column_stack([b @ np.array([1.0, 2.0j]), e00 + 5e-9 * e01, e01])
+    z, errors = fixpoint._pi_limits(inst, y)
+    ref, ref_errors = reference_pi_limits(inst, y, limits)
+    assert basis_blocks == [b.shape[1]]
+    assert [type(err) for err in ref_errors] == [type(None), Divergent, NotInCStar]
+    assert [(type(err), str(err)) for err in errors] == [(type(err), str(err)) for err in ref_errors]
+    np.testing.assert_array_equal(z, ref)  # the same iteration of the same columns
+    for col, err in zip(y.T, ref_errors):
+        elem = element_from_coords(st, col)
+        if err is None:
+            assert np.array_equal(pi_limit(inst, elem).coords(), ref[:, 0])
+        else:
+            with pytest.raises(type(err)) as info:
+                pi_limit(inst, elem)
+            assert str(info.value) == str(err)
+
+
 def test_lift_fixed_point_tail_shift():
     inst = build_tail_shift(2, 2, PAULI_X)
     y = AlgebraElement(inst.emb.corner, (PAULI_X,))
@@ -488,13 +598,6 @@ def sampled_defects(inst, levels, samples, seed):
     """Oracle for check_complete_isometry: the sampled norm defects of E on M_k(M^alpha), k = 1..levels."""
     basis = fixed_space(inst.alpha).basis
     return _sampled_defects(basis, [compress(inst.emb, b) for b in basis], levels, samples, seed)
-
-
-def nonminimal_identity_instance():
-    st = BlockStructure((2, 2))
-    alpha = make_family([identity_map(st)], expect_endomorphic=True)
-    p = AlgebraElement(st, (np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)))
-    return make_instance(alpha, p)
 
 
 def test_complete_isometry_matches_looped_reference():
