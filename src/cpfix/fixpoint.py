@@ -370,8 +370,9 @@ def _pi_limits(instance: DilationInstance, y: np.ndarray):
         lims, errors = _diagonal_limits(instance.alpha, _injected(instance.emb, y), "ambient " + STALLED)
     gaps = np.linalg.norm(y - b @ c, axis=0)
     far = np.flatnonzero(gaps > SPAN_TOL)  # only these need the norms of their elements
-    for j in far[gaps[far] > SPAN_TOL * np.maximum(1.0, _norms(instance.emb.corner, y[:, far]))]:
-        errors[j] = NotInCStar(f"element is {gaps[j]:g} away from C*(N^phi); limit not guaranteed")
+    if far.size:
+        for j in far[gaps[far] > SPAN_TOL * np.maximum(1.0, _norms(instance.emb.corner, y[:, far]))]:
+            errors[j] = NotInCStar(f"element is {gaps[j]:g} away from C*(N^phi); limit not guaranteed")
     return lims, errors
 
 
