@@ -421,7 +421,7 @@ def mixture_family(seed, dims=(2, 3), terms: int = 3, d: int = 1, discrete_prob:
 def mixture_family_with_data(seed, dims=(2, 3), terms: int = 3, d: int = 1, discrete_prob: float = 0.5):
     if terms < 1:
         raise ValueError(f"mixture needs at least one term, got terms={terms}")
-    rng =seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     st = BlockStructure(tuple(dims))
     bases = [random_unitary(rng, n) for n in st.block_dims]
     gen_maps = []
