@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CpfixError, InvalidFamily, ShapeMismatch
 from .matcore import as_matrix, op_norm, random_unitary
-from .vnalg import AlgebraElement, BlockStructure, identity_element
+from .vnalg import AlgebraElement, BlockStructure, _norms, _product, _star, identity_element
 
 COMMUTE_TOL = 1e-9
 CHOI_PRUNE_TOL = 1e-13
@@ -219,55 +219,38 @@ def validate_cp(phi: CPMap, tol: float = 1e-9) -> CPReport:
     )
 
 
-def _unit_product_table(structure: BlockStructure) -> np.ndarray:
-    """table[k, l] = coordinate index of E_k E_l, or D when the product is 0."""
-    d = structure.coord_dim
-    table = np.full((d, d), d, dtype=int)
-    offsets = [s.start for s in structure.coord_slices()]
-    for bi, n in enumerate(structure.block_dims):
-        off = offsets[bi]
-        for a in range(n):
-            for b in range(n):
-                k = off + a * n + b
-                for c in range(n):
-                    table[k, off + b * n + c] = off + a * n + c
-    return table
-
-
-def _adjoint_permutation(structure: BlockStructure) -> np.ndarray:
-    """Permutation matrix K with coords(x*) = K conj(coords(x))."""
-    d = structure.coord_dim
-    k = np.zeros((d, d))
-    offsets = [s.start for s in structure.coord_slices()]
-    for bi, n in enumerate(structure.block_dims):
-        off = offsets[bi]
-        for a in range(n):
-            for b in range(n):
-                k[off + b * n + a, off + a * n + b] = 1.0
-    return k
-
-
 def validate_endomorphism(alpha: CPMap, tol: float = 1e-9) -> bool:
-    """True iff alpha is multiplicative and *-preserving on the unit basis."""
+    """True iff alpha is multiplicative, decided on the matrix units.
+
+    Rule: by Choi's multiplicative-domain theorem, a CP map with
+    ||alpha|| <= 1 that satisfies alpha(a*a) = alpha(a)* alpha(a) also
+    satisfies alpha(ba) = alpha(b) alpha(a) for every b, so the a with
+    that property form an algebra.  The matrix units generate the
+    algebra, and E_ab* E_ab = E_bb, so alpha is multiplicative iff
+    alpha(E_bb) = alpha(E_ab)* alpha(E_ab) for every unit of every block:
+    D products, read from the columns of the superoperator.  Kraus maps
+    preserve adjoints, so no adjoint test is needed.
+
+    Guard: the theorem needs the contraction, and a CP map has
+    ||alpha|| = ||alpha(1)||.  A map with ||alpha(1)|| > 1 + tol is
+    rejected first; a *-endomorphism has alpha(1) a projection, so the
+    guard rejects none.  Without it the rule would accept
+    (x1, x2) -> (x1 + x2, 0) on C ⊕ C.
+
+    `tol` bounds both the excess of ||alpha(1)|| over 1 and the largest
+    absolute coordinate of alpha(E_bb) - alpha(E_ab)* alpha(E_ab).
+    """
     if not alpha.is_endomap:
         raise ShapeMismatch("endomorphism check requires source = target")
     st = alpha.source
     s = alpha.superop
-    k = _adjoint_permutation(st)
-    if op_norm(s @ k - k @ s.conj()) > tol:
+    if _norms(st, s @ identity_element(st).coords()[:, None])[0] > 1.0 + tol:
         return False
-    d = st.coord_dim
-    table = _unit_product_table(st)
-    s_ext = np.hstack([s, np.zeros((d, 1), dtype=complex)])
-    lhs = s_ext[:, table]  # (d, d, d): coords of alpha(E_k E_l)
-    # coords of alpha(E_k) alpha(E_l), block by block
-    rhs = np.zeros((d, d, d), dtype=complex)
-    slices = st.coord_slices()
-    for bi, n in enumerate(st.block_dims):
-        img = s[slices[bi], :].T.reshape(d, n, n)  # alpha(E_k) block bi
-        prod = np.einsum("pij,qjk->pqik", img, img)
-        rhs[slices[bi], :, :] = prod.reshape(d, d, n * n).transpose(2, 0, 1)
-    return bool(np.max(np.abs(lhs - rhs)) <= tol)
+    # coordinate index of E_bb for the unit E_ab at index off + a n + b
+    squares = np.concatenate(
+        [sl.start + np.tile(np.arange(n) * (n + 1), n) for n, sl in zip(st.block_dims, st.coord_slices())]
+    )
+    return bool(np.max(np.abs(s[:, squares] - _product(st, _star(st, s), s))) <= tol)
 
 
 @dataclass(frozen=True, eq=False)

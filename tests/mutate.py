@@ -30,6 +30,7 @@ DILATION = ("dilation.py", ("tests/test_dilation.py",))
 FIXPOINT = ("fixpoint.py", ("tests/test_fixpoint.py", "tests/test_golden.py"))
 VNALG = ("vnalg.py", ("tests/test_vnalg.py",))
 THETA = ("cpsemi.py", ("tests/test_cpsemi.py", "tests/test_dilation.py", "tests/test_fixpoint.py"))
+ENDOMORPHISM = ("cpsemi.py", ("tests/test_cpsemi.py",))
 
 # name -> ((module, owning test files), [(pattern, replacement), ...])
 MUTANTS = {
@@ -49,6 +50,18 @@ MUTANTS = {
             ("if norm(nxt - defect) <= 0.5:", "if norm(nxt - defect) <= 1e-10:"),
         ],
     ),
+    "endomorphism-contractive-guard-dropped": (
+        ENDOMORPHISM,
+        [("    if _norms(st, s @ identity_element(st).coords()[:, None])[0] > 1.0 + tol:\n        return False\n", "")],
+    ),
+    "endomorphism-diagonal-units-only": (
+        ENDOMORPHISM,
+        [(
+            "np.max(np.abs(s[:, squares] - _product(st, _star(st, s), s)))",
+            "np.max(np.abs(s[:, squares] - _product(st, _star(st, s), s))[:, squares])",
+        )],
+    ),
+    "semigroup-law-check-never-raises": (DILATION, [("            if gap > LAW_TOL:\n", "            if False:\n")]),
     "cstar-dropped-adjoint": (
         FIXPOINT,
         [("np.stack([prods, _star(st, prods)], axis=-1)", "np.stack([prods, prods], axis=-1)")],
@@ -156,7 +169,7 @@ def survives(name: str) -> bool:
 def main(argv: list[str]) -> int:
     if argv == ["--list"]:
         for name, ((module, tests), _) in MUTANTS.items():
-            print(f"{name:30s} {module:12s} {' '.join(tests)}")
+            print(f"{name:40s} {module:12s} {' '.join(tests)}")
         return 0
     names = argv or list(MUTANTS)
     unknown = [n for n in names if n not in MUTANTS]

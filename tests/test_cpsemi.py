@@ -17,6 +17,7 @@ from cpfix.cpsemi import (
     identity_map,
     leaky_damping_family,
     make_family,
+    mixture_family,
     mixture_family_with_data,
     mixture_fixed_dim,
     rotation_family,
@@ -26,7 +27,7 @@ from cpfix.cpsemi import (
     validate_family,
     SemigroupFamily,
 )
-from cpfix.dilation import tail_shift_map
+from cpfix.dilation import build_random_instance, tail_shift_map
 
 M2 = BlockStructure((2,))
 E00 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -118,6 +119,96 @@ def test_validate_endomorphism():
     assert validate_endomorphism(conjugation_map(M2, [u]))
     assert validate_endomorphism(tail_shift_map(2, 2, u))
     assert not validate_endomorphism(damping_family(0.5).generators[0])
+    # multiplicative on every matrix unit, but ||alpha(1)|| = 2: only the contraction guard rejects it
+    assert not validate_endomorphism(merge_map())
+    assert not validate_endomorphism(dephasing_map())
+
+
+def merge_map():
+    """(x1, x2) -> (x1 + x2, 0) on C ⊕ C."""
+    c2 = BlockStructure((1, 1))
+    return cp_map(c2, c2, {(0, 0): [np.eye(1)], (0, 1): [np.eye(1)]})
+
+
+def dephasing_map():
+    """x -> diag(x) on M_2."""
+    return cp_map(M2, M2, {(0, 0): [E00, E11]})
+
+
+def reference_unit_product_table(structure):
+    """table[k, l] = coordinate index of E_k E_l, or D when the product is 0."""
+    d = structure.coord_dim
+    table = np.full((d, d), d, dtype=int)
+    for n, sl in zip(structure.block_dims, structure.coord_slices()):
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    table[sl.start + a * n + b, sl.start + b * n + c] = sl.start + a * n + c
+    return table
+
+
+def reference_adjoint_permutation(structure):
+    """Permutation matrix K with coords(x*) = K conj(coords(x))."""
+    k = np.zeros((structure.coord_dim, structure.coord_dim))
+    for n, sl in zip(structure.block_dims, structure.coord_slices()):
+        for a in range(n):
+            for b in range(n):
+                k[sl.start + b * n + a, sl.start + a * n + b] = 1.0
+    return k
+
+
+def reference_validate_endomorphism(alpha, tol=1e-9):
+    """The full-table rule: alpha preserves adjoints and alpha(E_k E_l) = alpha(E_k) alpha(E_l) for every pair."""
+    st = alpha.source
+    s = to_superoperator(alpha)
+    k = reference_adjoint_permutation(st)
+    if op_norm(s @ k - k @ s.conj()) > tol:
+        return False
+    d = st.coord_dim
+    lhs = np.hstack([s, np.zeros((d, 1), dtype=complex)])[:, reference_unit_product_table(st)]
+    rhs = np.zeros((d, d, d), dtype=complex)
+    for n, sl in zip(st.block_dims, st.coord_slices()):
+        img = s[sl, :].T.reshape(d, n, n)  # alpha(E_k), this block
+        rhs[sl, :, :] = np.einsum("pij,qjk->pqik", img, img).reshape(d, d, n * n).transpose(2, 0, 1)
+    return bool(np.max(np.abs(lhs - rhs)) <= tol)
+
+
+def endomorphism_map_bank():
+    """(name, map) pairs: random dilation generators, mixtures, the shipped models and four non-endomorphisms."""
+    bank = []
+    for seed in range(30):
+        for d in (1, 2):
+            inst = build_random_instance(seed, d=d)
+            for side, family in (("alpha", inst.alpha), ("phi", inst.phi)):
+                bank += [(f"instance {seed} d={d} {side}{k}", g) for k, g in enumerate(family.generators)]
+        family = mixture_family(seed, dims=(2, 3), d=2)
+        bank += [(f"mixture {seed} gen{k}", g) for k, g in enumerate(family.generators)]
+    bank += [
+        ("damping", damping_family(0.5).generators[0]),
+        ("rotation", rotation_family().generators[0]),
+        ("leaky damping", leaky_damping_family().generators[0]),
+        ("2·1", cp_map(M2, M2, {(0, 0): [np.sqrt(2.0) * np.eye(2)]})),
+        ("dephasing", dephasing_map()),
+        ("merge", merge_map()),
+    ]
+    eps = 1e-6
+    u = random_unitary(np.random.default_rng(17), 2)
+    damp = damping_family(0.5).generators[0].ops(0, 0)
+    perturbed = cp_map(M2, M2, {(0, 0): [np.sqrt(1.0 - eps) * u] + [np.sqrt(eps) * a for a in damp]})
+    bank.append(("perturbed conjugation", perturbed))
+    return bank
+
+
+def test_matrix_unit_rule_matches_the_full_table_reference():
+    verdicts = {}
+    for name, alpha in endomorphism_map_bank():
+        verdicts[name] = validate_endomorphism(alpha)
+        assert verdicts[name] == reference_validate_endomorphism(alpha), name
+    assert len(verdicts) == 247
+    # every alpha and phi generator of the instances, and the rotation
+    assert sum(verdicts.values()) == 181
+    for name in ("2·1", "dephasing", "merge", "perturbed conjugation", "damping", "leaky damping"):
+        assert not verdicts[name], name
 
 
 def test_validate_family_rejects_noncommuting():

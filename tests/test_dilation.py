@@ -7,11 +7,17 @@ from cpfix.vnalg import (
     AlgebraElement,
     BlockStructure,
     CornerEmbedding,
+    _compressed,
+    _injected,
+    compress,
     identity_element,
+    inject,
+    random_element,
 )
 from cpfix.cpsemi import (
     apply,
     apply_power,
+    compose,
     conjugation_map,
     cp_map,
     damping_family,
@@ -26,6 +32,7 @@ from cpfix.dilation import (
     build_tail_shift,
     check_coinvariance,
     check_minimality,
+    compress_map,
     compress_semigroup,
     make_instance,
     tail_shift_map,
@@ -228,6 +235,43 @@ def test_compress_single_kraus_contraction():
     assert op_norm(ops[0]) <= 1.0 + 1e-12
 
 
+def reference_semigroup_law(alpha, emb, samples=20, seed=0):
+    """The law through Kraus compose: superoperators per generator pair, then sampled elements.
+
+    Raises SemigroupLawViolated as compress_semigroup does.
+    """
+    gens = [compress_map(g, emb) for g in alpha.generators]
+    rng = np.random.default_rng(seed)
+    for a_idx, ag in enumerate(alpha.generators):
+        for b_idx, bg in enumerate(alpha.generators):
+            ambient_pair = compose(ag, bg)
+            corner_pair = compose(gens[a_idx], gens[b_idx])
+            gap = op_norm(compress_map(ambient_pair, emb).superop - corner_pair.superop)
+            if gap > 1e-9:
+                raise SemigroupLawViolated(f"compressed generators {a_idx},{b_idx} break the semigroup law (gap {gap:g})")
+            for _ in range(samples):
+                y = random_element(emb.corner, rng)
+                lhs = compress(emb, apply(ambient_pair, inject(emb, y)))
+                rhs = apply(corner_pair, y)
+                if (lhs - rhs).norm() > 1e-9 * max(1.0, y.norm()):
+                    raise SemigroupLawViolated("sampled semigroup-law check failed")
+
+
+def test_law_matrix_matches_the_composed_superoperator():
+    for seed in range(30):
+        for d in (1, 2):
+            inst = build_random_instance(seed, d=d)
+            alpha, emb = inst.alpha, inst.emb
+            reference_semigroup_law(alpha, emb)
+            inj = _injected(emb, np.eye(emb.corner.coord_dim, dtype=complex))
+            for a_idx, ag in enumerate(alpha.generators):
+                for b_idx, bg in enumerate(alpha.generators):
+                    law = _compressed(emb, ag.superop @ (bg.superop @ inj))
+                    assert op_norm(law - compress_map(compose(ag, bg), emb).superop) <= 1e-12
+                    corner_pair = inst.phi.generators[a_idx].superop @ inst.phi.generators[b_idx].superop
+                    assert op_norm(law - corner_pair) <= 1e-9
+
+
 def test_semigroup_law_alarm_on_corrupt_embedding():
     # a non-isometric "embedding" destroys multiplicativity of corners
     shift = tail_shift_map(2, 2, PAULI_X)
@@ -241,8 +285,10 @@ def test_semigroup_law_alarm_on_corrupt_embedding():
         (v,),
         (0,),
     )
-    with pytest.raises(SemigroupLawViolated):
+    with pytest.raises(SemigroupLawViolated, match="compressed generators 0,0 break the semigroup law"):
         compress_semigroup(alpha, p, emb=bad)
+    with pytest.raises(SemigroupLawViolated, match="compressed generators 0,0 break the semigroup law"):
+        reference_semigroup_law(alpha, bad)
 
 
 def test_compress_requires_coinvariance():

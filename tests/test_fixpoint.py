@@ -1093,3 +1093,53 @@ def test_rebasing_and_block_permutation_leave_verdicts(seed, dims, d):
         return fixed_space(fam).dimension, ergodic_projection(fam).rank, statuses
 
     assert verdicts(other) == verdicts(family)
+
+
+def instance_verdicts(inst, seed):
+    """Every verdict, dimension, route and suite status of an instance, and its certificate residuals."""
+    minimal = check_minimality(inst.alpha, inst.p)
+    iso = check_complete_isometry(inst)
+    suite = property_suite(inst, seed=seed, samples=15)
+    verdicts = (
+        inst.alpha.is_endomorphic,
+        (minimal.status, minimal.steps),
+        fixed_space(inst.alpha).dimension,
+        fixed_space(inst.phi).dimension,
+        (iso.passed, iso.bijective, iso.route),
+        {key: item.status for key, item in suite.items.items()},
+    )
+    return verdicts, np.array([iso.max_defect, iso.choi_floor, iso.unit_excess, iso.left_inverse_defect])
+
+
+def assert_same_instance_verdicts(inst, other, seed):
+    verdicts, residuals = instance_verdicts(inst, seed)
+    other_verdicts, other_residuals = instance_verdicts(other, seed)
+    assert other_verdicts == verdicts
+    assert np.max(np.abs(other_residuals - residuals)) <= 1e-12
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from((1, 2)))
+def test_block_unitary_conjugation_leaves_instance_verdicts(seed, d):
+    inst = build_random_instance(seed, d=d)
+    rng = np.random.default_rng(seed + 1)
+    unitaries = [random_unitary(rng, n) for n in inst.structure.block_dims]
+    alpha = rebased(inst.alpha, unitaries, list(range(len(unitaries))))
+    p = AlgebraElement(inst.structure, tuple(v @ b @ v.conj().T for v, b in zip(unitaries, inst.p.blocks)))
+    assert_same_instance_verdicts(inst, make_instance(alpha, p), seed)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from((1, 2)))
+def test_appending_the_identity_generator_leaves_instance_verdicts(seed, d):
+    inst = build_random_instance(seed, d=d)
+    alpha = make_family([*inst.alpha.generators, identity_map(inst.structure)])
+    assert_same_instance_verdicts(inst, make_instance(alpha, inst.p), seed)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_swapping_the_generators_leaves_instance_verdicts(seed):
+    inst = build_random_instance(seed, d=2)
+    alpha = make_family(inst.alpha.generators[::-1])
+    assert_same_instance_verdicts(inst, make_instance(alpha, inst.p), seed)
