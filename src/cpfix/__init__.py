@@ -36,7 +36,6 @@ from .vnalg import (
     amplify_combination,
     compress,
     corner,
-    embed,
     element_from_coords,
     identity_element,
     inject,
@@ -51,11 +50,9 @@ from .cpsemi import (
     cp_map,
     conjugation_map,
     damping_family,
-    identity_family,
     identity_map,
     leaky_damping_family,
     make_family,
-    mixture_family,
     rotation_family,
     to_superoperator,
     validate_cp,

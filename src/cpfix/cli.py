@@ -66,7 +66,7 @@ FILE_VERSION = "cpfix-1"
 
 @dataclass(frozen=True)
 class Config:
-    """Sampling sizes and seed; every tolerance and cap is a constant of `fixpoint`."""
+    """Sampling sizes and seed; every tolerance and cap is a constant of the module that decides with it."""
 
     samples: int = 100
     seed: int = 0
@@ -308,7 +308,7 @@ def _validate_entries(problem: Problem) -> tuple[list, SemigroupFamily]:
     frep = validate_family(family)
     entries = []
     for (name, kind, _), rep, endo in zip(problem.maps, frep.cp_reports, frep.endo_flags):
-        ok = rep.is_cp and rep.is_contractive
+        ok = rep.is_contractive
         note = ""
         if kind == "endomorphism":
             ok = ok and endo
@@ -346,9 +346,9 @@ def _validate_entries(problem: Problem) -> tuple[list, SemigroupFamily]:
     return entries, SemigroupFamily(problem.structure, family.generators, frep.is_endomorphic)
 
 
-def cmd_validate(path: str, overrides: dict | None = None) -> dict:
+def cmd_validate(path: str) -> dict:
     t0 = time.perf_counter()
-    problem = load_problem(path, overrides)
+    problem = load_problem(path)
     entries, _ = _validate_entries(problem)
     rep = make_report("validate", problem.config, entries, {"input": path})
     rep["_t0"] = t0

@@ -22,8 +22,10 @@ from .errors import CpfixError, InvalidFamily, ShapeMismatch
 from .matcore import as_matrix, op_norm, random_unitary
 from .vnalg import AlgebraElement, BlockStructure, _norms, _product, _star, identity_element
 
-COMMUTE_TOL = 1e-9
-CHOI_PRUNE_TOL = 1e-13
+# validation bounds the commutators, the contraction and unit defects and, for
+# endomorphisms, the excess of ||alpha(1)|| over 1 and the multiplicativity defect
+VALIDATION_TOL = 1e-9
+CHOI_PRUNE_TOL = 1e-13  # compose drops Choi eigenvalues at or below this times max(1, largest)
 
 
 def _cached_on_argument(fn):
@@ -129,12 +131,12 @@ def _choi_from_ops(ops, nj: int, ni: int) -> np.ndarray:
     return vecs.T @ vecs.conj()
 
 
-def _ops_from_choi(c: np.ndarray, nj: int, ni: int, tol: float = CHOI_PRUNE_TOL):
+def _ops_from_choi(c: np.ndarray, nj: int, ni: int):
     w, v = np.linalg.eigh(0.5 * (c + c.conj().T))
     scale = max(1.0, float(w[-1]) if w.size else 0.0)
     ops = []
     for lam, vec in zip(w, v.T):
-        if lam > tol * scale:
+        if lam > CHOI_PRUNE_TOL * scale:
             ops.append(np.sqrt(lam) * vec.reshape(ni, nj).T)
     return ops
 
@@ -190,15 +192,14 @@ def choi_min_eig(matrix: np.ndarray, structure: BlockStructure, source: BlockStr
 
 @dataclass(frozen=True)
 class CPReport:
-    is_cp: bool
     is_contractive: bool
     is_unital: bool
     unital_defect: float
     contractive_floor: float
 
 
-def validate_cp(phi: CPMap, tol: float = 1e-9) -> CPReport:
-    """CP / contractive / unital flags; Kraus form is CP by construction."""
+def validate_cp(phi: CPMap) -> CPReport:
+    """Contractive and unital flags, each within VALIDATION_TOL; Kraus form is CP by construction."""
     one = identity_element(phi.source)
     img = apply(phi, one)
     unital_defect = (img - identity_element(phi.target)).norm()
@@ -208,18 +209,17 @@ def validate_cp(phi: CPMap, tol: float = 1e-9) -> CPReport:
         w = np.linalg.eigvalsh(0.5 * ((np.eye(n) - b) + (np.eye(n) - b).conj().T))
         lo = float(w[0]) if w.size else 0.0
         floor = min(floor, lo)
-        if lo < -tol:
+        if lo < -VALIDATION_TOL:
             contractive = False
     return CPReport(
-        is_cp=True,
         is_contractive=contractive,
-        is_unital=bool(unital_defect <= tol),
+        is_unital=bool(unital_defect <= VALIDATION_TOL),
         unital_defect=float(unital_defect),
         contractive_floor=float(floor),
     )
 
 
-def validate_endomorphism(alpha: CPMap, tol: float = 1e-9) -> bool:
+def validate_endomorphism(alpha: CPMap) -> bool:
     """True iff alpha is multiplicative, decided on the matrix units.
 
     Rule: by Choi's multiplicative-domain theorem, a CP map with
@@ -232,25 +232,25 @@ def validate_endomorphism(alpha: CPMap, tol: float = 1e-9) -> bool:
     preserve adjoints, so no adjoint test is needed.
 
     Guard: the theorem needs the contraction, and a CP map has
-    ||alpha|| = ||alpha(1)||.  A map with ||alpha(1)|| > 1 + tol is
+    ||alpha|| = ||alpha(1)||.  A map with ||alpha(1)|| > 1 + VALIDATION_TOL is
     rejected first; a *-endomorphism has alpha(1) a projection, so the
     guard rejects none.  Without it the rule would accept
     (x1, x2) -> (x1 + x2, 0) on C ⊕ C.
 
-    `tol` bounds both the excess of ||alpha(1)|| over 1 and the largest
-    absolute coordinate of alpha(E_bb) - alpha(E_ab)* alpha(E_ab).
+    VALIDATION_TOL bounds both the excess of ||alpha(1)|| over 1 and the
+    largest absolute coordinate of alpha(E_bb) - alpha(E_ab)* alpha(E_ab).
     """
     if not alpha.is_endomap:
         raise ShapeMismatch("endomorphism check requires source = target")
     st = alpha.source
     s = alpha.superop
-    if _norms(st, s @ identity_element(st).coords()[:, None])[0] > 1.0 + tol:
+    if _norms(st, s @ identity_element(st).coords()[:, None])[0] > 1.0 + VALIDATION_TOL:
         return False
     # coordinate index of E_bb for the unit E_ab at index off + a n + b
     squares = np.concatenate(
         [sl.start + np.tile(np.arange(n) * (n + 1), n) for n, sl in zip(st.block_dims, st.coord_slices())]
     )
-    return bool(np.max(np.abs(s[:, squares] - _product(st, _star(st, s), s))) <= tol)
+    return bool(np.max(np.abs(s[:, squares] - _product(st, _star(st, s), s))) <= VALIDATION_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,7 +292,8 @@ class FamilyReport:
     reason: str = ""
 
 
-def validate_family(family: SemigroupFamily, tol: float = COMMUTE_TOL) -> FamilyReport:
+def validate_family(family: SemigroupFamily) -> FamilyReport:
+    """Commutators, contraction and multiplicativity of every generator, each within VALIDATION_TOL."""
     gens = family.generators
     sups = [g.superop for g in gens]
     comms = []
@@ -302,18 +303,18 @@ def validate_family(family: SemigroupFamily, tol: float = COMMUTE_TOL) -> Family
             c = op_norm(sups[a] @ sups[b] - sups[b] @ sups[a])
             comms.append((a, b, float(c)))
             worst = max(worst, c)
-    reports = tuple(validate_cp(g, tol) for g in gens)
-    endo = tuple(validate_endomorphism(g, tol) for g in gens)
-    ok = worst <= tol and all(r.is_cp and r.is_contractive for r in reports)
+    reports = tuple(validate_cp(g) for g in gens)
+    endo = tuple(validate_endomorphism(g) for g in gens)
+    ok = worst <= VALIDATION_TOL and all(r.is_contractive for r in reports)
     reason = ""
-    if worst > tol:
+    if worst > VALIDATION_TOL:
         reason = f"generators do not commute (worst commutator norm {worst:g})"
     elif not all(r.is_contractive for r in reports):
         reason = "some generator is not contractive"
     return FamilyReport(ok, tuple(comms), reports, endo, all(endo) and bool(endo), reason)
 
 
-def make_family(generators, tol: float = COMMUTE_TOL, expect_endomorphic: bool = False) -> SemigroupFamily:
+def make_family(generators, expect_endomorphic: bool = False) -> SemigroupFamily:
     """Checked family constructor; raises InvalidFamily on violations."""
     gens = tuple(generators)
     if not gens:
@@ -323,7 +324,7 @@ def make_family(generators, tol: float = COMMUTE_TOL, expect_endomorphic: bool =
         if g.source != st or g.target != st:
             raise InvalidFamily("generators must be endomaps of one structure")
     fam = SemigroupFamily(st, gens)
-    rep = validate_family(fam, tol)
+    rep = validate_family(fam)
     if not rep.ok:
         raise InvalidFamily(rep.reason or "family validation failed")
     if expect_endomorphic and not rep.is_endomorphic:
@@ -341,10 +342,6 @@ def apply_power(family: SemigroupFamily, s, x: AlgebraElement) -> AlgebraElement
 
 # ---------------------------------------------------------------------------
 # Shipped model families
-
-
-def identity_family(structure: BlockStructure, d: int = 1) -> SemigroupFamily:
-    return make_family([identity_map(structure) for _ in range(d)])
 
 
 def rotation_family(theta: float = np.pi / 3) -> SemigroupFamily:
@@ -389,19 +386,14 @@ def _random_phases(rng: np.random.Generator, n: int, discrete_prob: float) -> np
     return rng.uniform(0.0, 2.0 * np.pi, size=n)
 
 
-def mixture_family(seed, dims=(2, 3), terms: int = 3, d: int = 1, discrete_prob: float = 0.5):
-    """Convex mixtures of commuting unitary conjugations; returns the family.
+def mixture_family_with_data(seed, dims=(2, 3), terms: int = 3, d: int = 1, discrete_prob: float = 0.5):
+    """Convex mixtures of commuting unitary conjugations; returns the family and its weights and phases.
 
     All unitaries, across all terms and all generators, share one random
     eigenbasis per block, so the generators commute exactly by
     construction.  Discrete phase draws create phase collisions and with
     them fixed spaces larger than the diagonal.
     """
-    family, _ = mixture_family_with_data(seed, dims=dims, terms=terms, d=d, discrete_prob=discrete_prob)
-    return family
-
-
-def mixture_family_with_data(seed, dims=(2, 3), terms: int = 3, d: int = 1, discrete_prob: float = 0.5):
     if terms < 1:
         raise ValueError(f"mixture needs at least one term, got terms={terms}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

@@ -39,13 +39,14 @@ from .vnalg import (
     validate_projection,
 )
 
-PSD_CHECK_TOL = 1e-9
+PSD_CHECK_TOL = 1e-9  # co-invariance: (1-p) - alpha_i(1-p) is PSD within this
 # tolerance of the semigroup-law check of compress_semigroup
 LAW_TOL = 1e-9
 
 
-def element_is_psd(x: AlgebraElement, tol: float = PSD_CHECK_TOL) -> bool:
-    return all(is_psd(b, tol) for b in x.blocks)
+def element_is_psd(x: AlgebraElement) -> bool:
+    """Every block is PSD within PSD_CHECK_TOL, as is_psd decides it."""
+    return all(is_psd(b, PSD_CHECK_TOL) for b in x.blocks)
 
 
 @_cached_on_argument

@@ -51,26 +51,33 @@ CESARO_CAP = 10**6  # terms of the Cesaro average that ergodic_projection compar
 # squarings, past which rounding can take a unit-modulus eigenvalue of theta to 0
 STEP_TOL = 1e-10
 DOUBLINGS = 20
+# a stopped value that the diagonal step moves lies on a periodic orbit; one that
+# it fixes but a generator moves (d >= 2) has stalled
+PERIODIC = "periodic orbit off the fixed space"
 STALLED = "iteration stalled off the fixed space"
 EQ_TOL = 1e-8  # the complete isometry and lift_identity
+AGREEMENT_TOL = 1e-7  # lift_fixed_point: the limit and linear-algebra routes agree within this times max(1, ||y||)
+ORTHO_TOL = 1e-9  # _orthonormal_columns keeps singular values above this times the largest
 # property-suite thresholds
 PSD_FLOOR = 1e-9  # kadison_schwarz and monotone_net
 LIMIT_TOL = 1e-7  # limit_vs_mean and factorization
 CHOI_EFFROS_TOL = 1e-9
 VECTOR_TOL = 1e-9
+SQRT_TOL = 1e-8  # vector_bound: psd_sqrt of Phi(x*x) - x*x clamps eigenvalues down to -SQRT_TOL max(1, norm)
 MONO_STEPS = 10  # diagonal steps of the monotone net
 S_MAX = 10  # largest power of each generator in the vector bound
 # random combinations of fixed-basis elements that join the basis as ideal generators
 EXTRA_GENERATORS = 8
 
 
-def _orthonormal_columns(m: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
+def _orthonormal_columns(m: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span: the left singular vectors above ORTHO_TOL relative."""
     if m.size == 0:
         return np.zeros((m.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((m.shape[0], 0), dtype=complex)
-    return u[:, s > rel_tol * s[0]]
+    return u[:, s > ORTHO_TOL * s[0]]
 
 
 def span_distance(basis_matrix: np.ndarray, v: np.ndarray):
@@ -275,7 +282,7 @@ def ergodic_projection(family: SemigroupFamily) -> ErgodicProjection:
     return ErgodicProjection(st, rho, diagnostics)
 
 
-def _diagonal_limits(family: SemigroupFamily, v: np.ndarray, stalled: str):
+def _diagonal_limits(family: SemigroupFamily, v: np.ndarray, prefix: str):
     """lim_s beta_s of every column of a (D, S) coordinate block, by repeated squaring of theta.
 
     Doubling k steps each live column by theta^(2^k), 2^k - 1 steps in all
@@ -283,8 +290,9 @@ def _diagonal_limits(family: SemigroupFamily, v: np.ndarray, stalled: str):
     once 2^k is past 1/gap that bounds the error, but a part that moves less
     than STEP_TOL per step stops it at once, off by up to STEP_TOL/gap.  A
     column that never stops within DOUBLINGS doublings, or whose increment
-    overflows, diverges; so does a limit that a generator moves.
-    Returns the limits and, per column, a Divergent (`stalled` for a moved limit) or None.
+    overflows, diverges; so does a limit that a generator moves, with
+    PERIODIC when theta itself moves it and STALLED when only a generator does.
+    Returns the limits and, per column, a Divergent (its message after `prefix`) or None.
     """
     v = np.array(v, dtype=complex)
     st, s = family.structure, v.shape[1]
@@ -311,33 +319,36 @@ def _diagonal_limits(family: SemigroupFamily, v: np.ndarray, stalled: str):
     # columns this screen leaves open take the norms of their limits and exact defect norms
     defects = [g.superop @ v - v for g in family.generators]
     on = _norms_within(st, np.hstack(defects), 10.0 * STEP_TOL).reshape(family.rank, s).all(axis=0)
+    errors = [None] * s
     if not on.all():
         rest = np.flatnonzero(~on)
         # row 0: the norm of each open limit; row 1 + i: the norm of its defect under generator i
         norms = _norms(st, np.hstack([v[:, rest]] + [d[:, rest] for d in defects]))
         norms = norms.reshape(1 + family.rank, rest.size)
-        on[rest] = np.all(norms[1:] <= 10.0 * STEP_TOL * np.maximum(1.0, norms[0]), axis=0)
-    errors = [None if o else Divergent(stalled) for o in on]
+        bound = 10.0 * STEP_TOL * np.maximum(1.0, norms[0])
+        on[rest] = np.all(norms[1:] <= bound, axis=0)
+        off = ~on[rest]
+        if off.any():
+            bad = rest[off]
+            periodic = _norms(st, family.theta @ v[:, bad] - v[:, bad]) > bound[off]
+            for j, per in zip(bad, periodic):
+                errors[j] = Divergent(prefix + (PERIODIC if per else STALLED))
     for j in np.flatnonzero(~(last <= STEP_TOL)):
         errors[j] = Divergent(f"no convergence within {2**DOUBLINGS - 1} steps (last increment {last[j]:g})")
     return v, errors
 
 
-def _limit(family: SemigroupFamily, x: AlgebraElement, stalled: str) -> AlgebraElement:
-    """The diagonal limit of one element, or the Divergent of its column."""
-    v, (error,) = _diagonal_limits(family, x.coords()[:, None], stalled)
-    if error is not None:
-        raise error
-    return element_from_coords(family.structure, v[:, 0])
-
-
 def phi_limit(family: SemigroupFamily, y: AlgebraElement) -> AlgebraElement:
     """Diagonal limit of phi_s(y); guaranteed to exist on C*(N^phi).
 
-    Raises Divergent when the orbit fails to stabilize, which signals
-    either y outside C*(N^phi) or a spectral gap too slow for 2^DOUBLINGS - 1 steps.
+    Raises the Divergent of y's column when the orbit fails to stabilize,
+    which signals either y outside C*(N^phi) or a spectral gap too slow for
+    2^DOUBLINGS - 1 steps.
     """
-    return _limit(family, y, STALLED)
+    v, (error,) = _diagonal_limits(family, y.coords()[:, None], "")
+    if error is not None:
+        raise error
+    return element_from_coords(family.structure, v[:, 0])
 
 
 @_cached_on_argument
@@ -349,7 +360,7 @@ def _cstar_lifts(instance: DilationInstance) -> tuple[np.ndarray, np.ndarray, bo
     fixes every column of Z fixes Z c, so pi(B c) = Z c.
     """
     b = cstar_closure(fixed_space(instance.phi)).matrix
-    z, errors = _diagonal_limits(instance.alpha, _injected(instance.emb, b), "ambient " + STALLED)
+    z, errors = _diagonal_limits(instance.alpha, _injected(instance.emb, b), "ambient ")
     return b, z, all(err is None for err in errors)
 
 
@@ -367,7 +378,7 @@ def _pi_limits(instance: DilationInstance, y: np.ndarray):
     if converged:
         lims, errors = z @ c, [None] * y.shape[1]
     else:
-        lims, errors = _diagonal_limits(instance.alpha, _injected(instance.emb, y), "ambient " + STALLED)
+        lims, errors = _diagonal_limits(instance.alpha, _injected(instance.emb, y), "ambient ")
     gaps = np.linalg.norm(y - b @ c, axis=0)
     far = np.flatnonzero(gaps > SPAN_TOL)  # only these need the norms of their elements
     if far.size:
@@ -389,12 +400,12 @@ def pi_limit(instance: DilationInstance, y: AlgebraElement, cstar: CStarSpan | N
     return element_from_coords(instance.structure, z[:, 0])
 
 
-def lift_fixed_point(instance: DilationInstance, y: AlgebraElement, agreement_tol: float = 1e-7) -> AlgebraElement:
+def lift_fixed_point(instance: DilationInstance, y: AlgebraElement) -> AlgebraElement:
     """Lift y in N^phi to z in M^alpha with pzp = y, by two independent routes.
 
     Route one follows the diagonal alpha-limit of y inside M; route two
     solves the compression equation on a basis of M^alpha.  Disagreement
-    beyond `agreement_tol` raises Inconsistent.
+    beyond AGREEMENT_TOL max(1, ||y||) raises Inconsistent.
     """
     fs_corner = fixed_space(instance.phi)
     y_norm = functools.cache(y.norm)  # taken at most once, and only for a gap past its tolerance
@@ -411,7 +422,7 @@ def lift_fixed_point(instance: DilationInstance, y: AlgebraElement, agreement_to
         raise Inconsistent(f"no ambient fixed point compresses to y (residual {resid:g})")
     z_lin = element_from_coords(instance.structure, fs_ambient.matrix @ coeff)
     gap = (z_pi - z_lin).norm()
-    if _exceeds(gap, agreement_tol, y_norm):
+    if _exceeds(gap, AGREEMENT_TOL, y_norm):
         raise Inconsistent(f"limit route and linear-algebra route disagree by {gap:g}")
     return z_pi
 
@@ -662,7 +673,7 @@ def property_suite(
     trivial = fs.dimension == 0
 
     # Kadison-Schwarz: phi(x)* phi(x) <= phi(x*x) for every generator.
-    # Per sample, random_element draws n^2 real and then n^2 imaginary parts per block.
+    # Per sample, n^2 real and then n^2 imaginary parts per block, as one random element draws them.
     parts = np.split(
         rng.standard_normal((samples, 2 * st.coord_dim)), np.cumsum([2 * n * n for n in st.block_dims])[:-1], axis=1
     )
@@ -706,7 +717,7 @@ def property_suite(
     else:
         x = _combos(fs.matrix, rng.standard_normal((samples, 2, fs.dimension)))
         q = _product(st, _star(st, x), x)
-        lims, errors = _diagonal_limits(family, q, STALLED)
+        lims, errors = _diagonal_limits(family, q, "")
         converged = np.array([err is None for err in errors], dtype=bool)
         failed = [err for err in errors if err is not None]
         worst = float(np.max(_norms(st, (lims - rho @ q)[:, converged]), initial=0.0))
@@ -749,7 +760,7 @@ def property_suite(
         x = _combos(fs.matrix, gx)
         q = _product(st, _star(st, x), x)
         y = rho @ q - q
-        root = _coords([psd_sqrt(b, tol=1e-8) for b in _blocks(st, y)])
+        root = _coords([psd_sqrt(b, SQRT_TOL) for b in _blocks(st, y)])
         a = _combos(cs.matrix, ga)
         powers = []
         for gen in family.generators:

@@ -2,8 +2,9 @@
 
 Hermitian spectral decompositions, operator norms, nullspaces and PSD
 utilities used by every other module.  Matrices are numpy arrays of
-complex128.  Tolerances are absolute against max(1, ||operand||) so the
-same defaults behave sensibly for tiny and O(1)-normed inputs alike.
+complex128.  Tolerances are relative to max(1, ||operand||), so one value
+serves tiny and O(1)-normed inputs alike.  The nullspace and PSD kernels
+take their tolerance from the caller, which owns the decision it cuts.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ import numpy as np
 
 from .errors import NoConvergence, NotHermitian, NotPSD, ShapeMismatch
 
-HERMITIAN_TOL = 1e-9
-PSD_TOL = 1e-10
-NULL_TOL = 1e-10
+HERMITIAN_TOL = 1e-9  # eig_hermitian and psd_sqrt reject ||A - A*|| above this times max(1, ||A||)
 
 
 def as_matrix(a, what: str = "matrix") -> np.ndarray:
@@ -31,19 +30,19 @@ def hermitian_defect(a: np.ndarray) -> float:
     return op_norm(a - a.conj().T)
 
 
-def eig_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL):
+def eig_hermitian(a: np.ndarray):
     """Spectral decomposition A = U diag(w) U* of a Hermitian matrix.
 
     Returns eigenvalues ascending and a unitary U.  Raises NotHermitian
-    when ||A - A*|| exceeds tol * max(1, ||A||), NoConvergence if the
-    underlying QR iteration fails.
+    when ||A - A*|| exceeds HERMITIAN_TOL * max(1, ||A||), NoConvergence
+    if the underlying QR iteration fails.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"eig_hermitian: matrix is {a.shape}, not square")
-    scale = max(1.0, op_norm(a))
-    if hermitian_defect(a) > tol * scale:
-        raise NotHermitian(f"matrix deviates from A=A* by more than {tol * scale:g}")
+    bound = HERMITIAN_TOL * max(1.0, op_norm(a))
+    if hermitian_defect(a) > bound:
+        raise NotHermitian(f"matrix deviates from A=A* by more than {bound:g}")
     h = 0.5 * (a + a.conj().T)
     try:
         w, u = np.linalg.eigh(h)
@@ -72,7 +71,7 @@ def op_norm(a) -> float | np.ndarray:
     return float(np.sqrt(max(w[-1], 0.0)))
 
 
-def nullspace(l: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
+def nullspace(l: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical nullspace of L.
 
     Keeps every right singular direction with singular value at most
@@ -84,11 +83,12 @@ def nullspace(l: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
     return vh[_null_mask(s, l.shape[1], tol)].conj().T
 
 
-def nullspace_pair(l: np.ndarray, tol: float = NULL_TOL):
+def nullspace_pair(l: np.ndarray, tol: float):
     """Left and right nullspace bases of L from a single SVD.
 
     Returns (left, right): columns of `left` span ker(L*), columns of
-    `right` span ker(L).  For square L both bases have equal dimension.
+    `right` span ker(L), each cut at tol * max(1, sigma_max) as in
+    `nullspace`.  For square L both bases have equal dimension.
     """
     l = as_matrix(l)
     m, n = l.shape
@@ -103,11 +103,12 @@ def _null_mask(s: np.ndarray, size: int, tol: float) -> np.ndarray:
     return padded <= tol * max(1.0, s[0] if s.size else 0.0)
 
 
-def psd_sqrt(a: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
+def psd_sqrt(a: np.ndarray, tol: float) -> np.ndarray:
     """Hermitian PSD square root B with B @ B = A.
 
     Eigenvalues in [-tol * max(1, ||A||), 0) are clamped to zero; below
-    that the matrix is rejected with NotPSD.  A stack of shape (..., n, n)
+    that the matrix is rejected with NotPSD, and a matrix that fails
+    eig_hermitian's HERMITIAN_TOL test with NotHermitian.  A stack of shape (..., n, n)
     gives the stack of roots; it raises what a loop over the stack in C
     order would raise first, with the same message.
     """
@@ -146,8 +147,8 @@ def _psd_sqrt_stack(a: np.ndarray, tol: float) -> np.ndarray:
     return 0.5 * (b + b.conj().swapaxes(-1, -2))
 
 
-def is_psd(a: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """True iff A is Hermitian with min eigenvalue >= -tol * max(1, ||A||)."""
+def is_psd(a: np.ndarray, tol: float) -> bool:
+    """True iff A has min eigenvalue >= -tol * max(1, ||A||); NotHermitian as in eig_hermitian."""
     w, _ = eig_hermitian(a)
     if w.size == 0:
         return True
@@ -159,11 +160,6 @@ def is_psd(a: np.ndarray, tol: float = PSD_TOL) -> bool:
 
 def random_complex(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
-
-
-def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = random_complex(rng, n, n)
-    return 0.5 * (g + g.conj().T)
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -1,8 +1,7 @@
 """Finite-dimensional von Neumann algebras M = ⊕_i M_{n_i}.
 
-Elements are lists of complex blocks.  The module provides the
-block-diagonal embedding into one big matrix, projections and their
-spectral rounding, corner algebras N = pMp with explicit isometries,
+Elements are lists of complex blocks.  The module provides
+projections and their spectral rounding, corner algebras N = pMp with explicit isometries,
 the compression E(x) = pxp, and stacked matrix amplifications in M_k(M).
 
 Coordinates: an element is identified with the concatenation of its
@@ -23,8 +22,8 @@ import numpy as np
 from .errors import NotProjection, ShapeMismatch
 from .matcore import as_matrix, op_norm
 
-PROJ_TOL = 1e-9
-SNAP_TOL = 1e-6
+PROJ_TOL = 1e-9  # validate_projection accepts a block as it is within this of p = p* = p^2
+SNAP_TOL = 1e-6  # and else rounds eigenvalues within this of {0, 1}
 
 
 @dataclass(frozen=True)
@@ -150,44 +149,27 @@ def element_from_coords(structure: BlockStructure, v: np.ndarray) -> AlgebraElem
     return AlgebraElement(structure, tuple(blocks))
 
 
-def random_element(structure: BlockStructure, rng: np.random.Generator, hermitian: bool = False) -> AlgebraElement:
-    from .matcore import random_complex, random_hermitian
-
-    blocks = []
-    for n in structure.block_dims:
-        blocks.append(random_hermitian(rng, n) if hermitian else random_complex(rng, n, n))
-    return AlgebraElement(structure, tuple(blocks))
-
-
-def embed(x: AlgebraElement) -> np.ndarray:
-    """Block-diagonal matrix of size space_dim x space_dim."""
-    t = x.structure.space_dim
-    out = np.zeros((t, t), dtype=complex)
-    for b, s in zip(x.blocks, x.structure.space_slices()):
-        out[s, s] = b
-    return out
-
-
-def validate_projection(p: AlgebraElement, tol: float = PROJ_TOL, snap_tol: float = SNAP_TOL) -> AlgebraElement:
+def validate_projection(p: AlgebraElement) -> AlgebraElement:
     """Check p = p* = p^2 blockwise, spectrally rounding first if needed.
 
-    Eigenvalues within snap_tol of {0, 1} are snapped; anything further
+    A block whose defects are within PROJ_TOL is kept as it is.  Otherwise
+    eigenvalues within SNAP_TOL of {0, 1} are snapped; anything further
     away raises NotProjection.  Returns the (possibly rounded) element.
     """
     blocks = []
     for b in p.blocks:
         herm = op_norm(b - b.conj().T)
         idem = op_norm(b @ b - b)
-        if herm <= tol and idem <= tol:
+        if herm <= PROJ_TOL and idem <= PROJ_TOL:
             blocks.append(b)
             continue
-        if herm > snap_tol:
+        if herm > SNAP_TOL:
             raise NotProjection(f"block is not self-adjoint (defect {herm:g})")
         w, u = np.linalg.eigh(0.5 * (b + b.conj().T))
-        snapped = np.where(np.abs(w) <= snap_tol, 0.0, np.where(np.abs(w - 1.0) <= snap_tol, 1.0, np.nan))
+        snapped = np.where(np.abs(w) <= SNAP_TOL, 0.0, np.where(np.abs(w - 1.0) <= SNAP_TOL, 1.0, np.nan))
         if np.any(np.isnan(snapped)):
             bad = w[np.isnan(snapped)]
-            raise NotProjection(f"eigenvalues {bad} not within {snap_tol:g} of {{0, 1}}")
+            raise NotProjection(f"eigenvalues {bad} not within {SNAP_TOL:g} of {{0, 1}}")
         blocks.append((u * snapped) @ u.conj().T)
     return AlgebraElement(p.structure, tuple(blocks))
 

@@ -52,7 +52,7 @@ MUTANTS = {
     ),
     "endomorphism-contractive-guard-dropped": (
         ENDOMORPHISM,
-        [("    if _norms(st, s @ identity_element(st).coords()[:, None])[0] > 1.0 + tol:\n        return False\n", "")],
+        [("    if _norms(st, s @ identity_element(st).coords()[:, None])[0] > 1.0 + VALIDATION_TOL:\n        return False\n", "")],
     ),
     "endomorphism-diagonal-units-only": (
         ENDOMORPHISM,

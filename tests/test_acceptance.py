@@ -15,6 +15,8 @@ from cpfix.cli import cmd_analyze, cmd_demo, cmd_dilation, cmd_validate, load_pr
 from cpfix.matcore import op_norm, random_complex
 from cpfix.vnalg import element_from_coords
 
+from helpers import linear_lift
+
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
@@ -125,7 +127,8 @@ def test_acceptance_4_exact_oracles():
     # tail-shift lift with both routes agreeing
     inst = cf.build_tail_shift(2, 2, PAULI_X)
     y = cf.AlgebraElement(inst.emb.corner, (PAULI_X,))
-    z = cf.lift_fixed_point(inst, y, agreement_tol=1e-10)
+    z = cf.lift_fixed_point(inst, y)
+    assert (z - linear_lift(inst, y)).norm() <= 1e-10
     expected = cf.AlgebraElement(inst.structure, (PAULI_X, PAULI_X, PAULI_X))
     assert (z - expected).norm() <= 1e-10
     print("\nACCEPTANCE 4 PASS: rotation/damping mean-projection oracles exact; "

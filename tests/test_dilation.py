@@ -12,7 +12,6 @@ from cpfix.vnalg import (
     compress,
     identity_element,
     inject,
-    random_element,
 )
 from cpfix.cpsemi import (
     apply,
@@ -38,6 +37,8 @@ from cpfix.dilation import (
     tail_shift_map,
 )
 from cpfix.fixpoint import fixed_space
+
+from helpers import random_element
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 

@@ -18,10 +18,8 @@ from cpfix.vnalg import (
     amplify_combination,
     compress,
     element_from_coords,
-    embed,
     identity_element,
     inject,
-    random_element,
 )
 from cpfix.cpsemi import (
     apply,
@@ -29,11 +27,9 @@ from cpfix.cpsemi import (
     conjugation_map,
     cp_map,
     damping_family,
-    identity_family,
     identity_map,
     leaky_damping_family,
     make_family,
-    mixture_family,
     rotation_family,
     SemigroupFamily,
 )
@@ -59,6 +55,8 @@ from cpfix.fixpoint import (
     property_suite,
     span_distance,
 )
+
+from helpers import embed, identity_family, linear_lift, mixture_family, random_element
 
 M2 = BlockStructure((2,))
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -282,9 +280,19 @@ def test_phi_limit_slow_leaky_gaps_reach_the_mean_projection(c, s):
 
 
 def test_phi_limit_periodic_orbit_fails_the_generator_check():
-    # theta^4 = 1 on E01, so the third doubling, a step by theta^4, moves nothing off the fixed space
-    with pytest.raises(Divergent, match="stalled off the fixed space"):
+    # theta^4 = 1 on E01, so the third doubling, a step by theta^4, moves nothing; theta moves the value
+    with pytest.raises(Divergent, match=f"^{fixpoint.PERIODIC}$"):
         phi_limit(rotation_family(np.pi / 2), unit(0, 1))
+
+
+def test_phi_limit_names_the_periodic_orbits_of_a_random_corner():
+    # d = 1 and theta has the eigenvalue -1 on the corner: each matrix unit's orbit has period 2
+    inst = build_random_instance(36, d=1)
+    corner = inst.emb.corner
+    assert corner.coord_dim == 4
+    for unit_coords in np.eye(4, dtype=complex):
+        with pytest.raises(Divergent, match=f"^{fixpoint.PERIODIC}$"):
+            phi_limit(inst.phi, element_from_coords(corner, unit_coords))
 
 
 def test_phi_limit_rotation_diverges_at_the_default_budget():
@@ -301,8 +309,8 @@ def test_phi_limit_overflowing_orbit_diverges_without_warnings():
             phi_limit(fam, unit(0, 0))
 
 
-def full_norm_limits(family, v, stalled):
-    """Reference _diagonal_limits that takes the operator norm of every limit and every defect."""
+def full_norm_limits(family, v, prefix):
+    """Reference _diagonal_limits that takes the operator norm of every limit, every defect and every theta step."""
     v = np.array(v, dtype=complex)
     live = np.arange(v.shape[1])
     w, last = v, np.full(v.shape[1], np.inf)
@@ -317,18 +325,21 @@ def full_norm_limits(family, v, stalled):
             v[:, live[done]] = nxt[:, done]
             going = ~done & np.isfinite(inc)
             live, w = live[going], nxt[:, going]
-    norms = _norms(family.structure, np.hstack([v] + [g.superop @ v - v for g in family.generators]))
-    norms = norms.reshape(1 + family.rank, v.shape[1])
-    off = np.any(norms[1:] > 10.0 * fixpoint.STEP_TOL * np.maximum(1.0, norms[0]), axis=0)
-    errors = [Divergent(stalled) if o else None for o in off]
+    # row 0: each limit; row 1: its theta step; row 2 + i: its defect under generator i
+    norms = _norms(family.structure, np.hstack([v, family.theta @ v - v] + [g.superop @ v - v for g in family.generators]))
+    norms = norms.reshape(2 + family.rank, v.shape[1])
+    bound = 10.0 * fixpoint.STEP_TOL * np.maximum(1.0, norms[0])
+    off = np.any(norms[2:] > bound, axis=0)
+    messages = [prefix + (fixpoint.PERIODIC if p else fixpoint.STALLED) for p in norms[1] > bound]
+    errors = [Divergent(m) if o else None for o, m in zip(off, messages)]
     for j in np.flatnonzero(~(last <= fixpoint.STEP_TOL)):
         errors[j] = Divergent(f"no convergence within {2**fixpoint.DOUBLINGS - 1} steps (last increment {last[j]:g})")
     return v, errors
 
 
 def assert_same_limits(family, v):
-    lims, errors = fixpoint._diagonal_limits(family, v, "moved")
-    want, want_errors = full_norm_limits(family, v, "moved")
+    lims, errors = fixpoint._diagonal_limits(family, v, "")
+    want, want_errors = full_norm_limits(family, v, "")
     assert np.array_equal(lims, want)
     assert [(type(e), str(e)) for e in errors] == [(type(e), str(e)) for e in want_errors]
     return errors
@@ -355,6 +366,8 @@ def test_norm_screen_leaves_moved_limits_unchanged(angle):
     errors = assert_same_limits(family, np.hstack([v, 1e3 * v]))
     # at 2e-12 the defect of 1e3 E01 is past the screen's 1e-9 / 2 but within 1e-9 max(1, 1e3)
     assert [e is not None for e in errors] == [angle > 1e-6, False, angle > 1e-9, False]
+    # theta fixes the moved E01, so it stalled rather than cycled
+    assert {str(e) for e in errors if e is not None} <= {fixpoint.STALLED}
 
 
 def test_phi_limit_agrees_with_mean_projection():
@@ -407,7 +420,7 @@ def reference_pi_limits(instance, y, limits=fixpoint._diagonal_limits):
     the place of any Divergent.
     """
     cs = cstar_closure(fixed_space(instance.phi))
-    z, errors = limits(instance.alpha, _injected(instance.emb, y), "ambient " + fixpoint.STALLED)
+    z, errors = limits(instance.alpha, _injected(instance.emb, y), "ambient ")
     for j in range(y.shape[1]):
         gap = span_distance(cs.matrix, y[:, j])
         if gap > fixpoint.SPAN_TOL * max(1.0, element_from_coords(instance.emb.corner, y[:, j]).norm()):
@@ -479,8 +492,8 @@ def test_pi_limits_fall_back_per_column_when_a_basis_column_fails(monkeypatch):
     limits = fixpoint._diagonal_limits
     basis_blocks = []
 
-    def failing_basis(family, v, stalled):
-        z, errors = limits(family, v, stalled)
+    def failing_basis(family, v, prefix):
+        z, errors = limits(family, v, prefix)
         if not basis_blocks:  # the instance's first call is the basis block of _cstar_lifts
             basis_blocks.append(v.shape[1])
             errors[0] = Divergent("basis column 0 forced to fail")
@@ -510,7 +523,8 @@ def test_pi_limits_fall_back_per_column_when_a_basis_column_fails(monkeypatch):
 def test_lift_fixed_point_tail_shift():
     inst = build_tail_shift(2, 2, PAULI_X)
     y = AlgebraElement(inst.emb.corner, (PAULI_X,))
-    z = lift_fixed_point(inst, y, agreement_tol=1e-10)
+    z = lift_fixed_point(inst, y)
+    assert (z - linear_lift(inst, y)).norm() <= 1e-10  # both routes agree
     expected = AlgebraElement(inst.structure, (PAULI_X, PAULI_X, PAULI_X))
     assert (z - expected).norm() <= 1e-10
     assert (compress(inst.emb, z) - y).norm() <= 1e-12

@@ -12,9 +12,10 @@ from cpfix.matcore import (
     op_norm,
     psd_sqrt,
     random_complex,
-    random_hermitian,
     random_unitary,
 )
+
+from helpers import random_hermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -93,11 +94,11 @@ def test_op_norm_submultiplicative(n, seed):
 
 
 def test_nullspace_identity_empty():
-    assert nullspace(np.eye(3)).shape == (3, 0)
+    assert nullspace(np.eye(3), 1e-10).shape == (3, 0)
 
 
 def test_nullspace_zero_full():
-    v = nullspace(np.zeros((3, 3)))
+    v = nullspace(np.zeros((3, 3)), 1e-10)
     assert v.shape == (3, 3)
     assert op_norm(v.conj().T @ v - np.eye(3)) < 1e-12
 
@@ -129,14 +130,14 @@ def test_nullspace_pair_left_vectors():
 
 
 def test_psd_sqrt_diagonal():
-    b = psd_sqrt(np.diag([4.0, 9.0]).astype(complex))
+    b = psd_sqrt(np.diag([4.0, 9.0]).astype(complex), 1e-10)
     np.testing.assert_allclose(b, np.diag([2.0, 3.0]), atol=1e-12)
-    np.testing.assert_allclose(psd_sqrt(np.zeros((2, 2))), np.zeros((2, 2)), atol=1e-12)
+    np.testing.assert_allclose(psd_sqrt(np.zeros((2, 2)), 1e-10), np.zeros((2, 2)), atol=1e-12)
 
 
 def test_psd_sqrt_dense():
     a = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
-    b = psd_sqrt(a)
+    b = psd_sqrt(a, 1e-10)
     # spectral oracle: eigenvalues of A are 1 and 3, so B has 1 and sqrt(3)
     assert abs(np.trace(b).real - (1.0 + np.sqrt(3.0))) < 1e-12
     assert abs(np.linalg.det(b).real - np.sqrt(3.0)) < 1e-12
@@ -145,25 +146,25 @@ def test_psd_sqrt_dense():
 
 def test_psd_sqrt_clamps_small_negatives():
     a = np.diag([1.0, -1e-12]).astype(complex)
-    b = psd_sqrt(a)
+    b = psd_sqrt(a, 1e-10)
     assert op_norm(b @ b - np.diag([1.0, 0.0])) < 1e-9
 
 
 def test_psd_sqrt_rejects_negative():
     with pytest.raises(NotPSD):
-        psd_sqrt(np.diag([1.0, -1.0]).astype(complex))
+        psd_sqrt(np.diag([1.0, -1.0]).astype(complex), 1e-10)
 
 
 def test_is_psd():
-    assert is_psd(np.eye(2))
-    assert not is_psd(np.diag([1.0, -1.0]))
+    assert is_psd(np.eye(2), 1e-10)
+    assert not is_psd(np.diag([1.0, -1.0]), 1e-10)
     # eigenvalues 0 and 2 (trace 2, det 0)
-    assert is_psd(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    assert is_psd(np.array([[1.0, 1.0], [1.0, 1.0]]), 1e-10)
 
 
 def test_is_psd_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
-        is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-10)
 
 
 @settings(max_examples=25, deadline=None)
@@ -171,7 +172,7 @@ def test_is_psd_rejects_non_hermitian():
 def test_psd_sqrt_square_property(n, seed):
     g = random_complex(np.random.default_rng(seed), n, n)
     a = g @ g.conj().T
-    b = psd_sqrt(a)
+    b = psd_sqrt(a, 1e-10)
     assert op_norm(b @ b - a) <= 1e-9 * max(1.0, op_norm(a))
     assert op_norm(b - b.conj().T) <= 1e-12 * max(1.0, op_norm(b))
 
@@ -181,16 +182,16 @@ def test_psd_sqrt_square_property(n, seed):
 def test_psd_sqrt_stack_matches_per_matrix(n, seed):
     g = random_complex(np.random.default_rng(seed), 6 * n, n).reshape(3, 2, n, n)
     a = g @ g.conj().swapaxes(-1, -2)
-    roots = psd_sqrt(a)
+    roots = psd_sqrt(a, 1e-10)
     assert roots.shape == (3, 2, n, n)
     for i in range(3):
         for j in range(2):
-            assert np.max(np.abs(roots[i, j] - psd_sqrt(a[i, j]))) <= 1e-14
+            assert np.max(np.abs(roots[i, j] - psd_sqrt(a[i, j], 1e-10))) <= 1e-14
 
 
 def bad_message(exc_type, a):
     with pytest.raises(exc_type) as info:
-        psd_sqrt(a)
+        psd_sqrt(a, 1e-10)
     return str(info.value)
 
 

@@ -15,12 +15,12 @@ from cpfix.vnalg import (
     compress,
     corner,
     element_from_coords,
-    embed,
     identity_element,
     inject,
-    random_element,
     validate_projection,
 )
+
+from helpers import embed, random_element
 
 M2_M1 = BlockStructure((2, 1))
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
