@@ -50,7 +50,6 @@ from .cpsemi import (
     cp_map,
     conjugation_map,
     damping_family,
-    identity_map,
     leaky_damping_family,
     make_family,
     rotation_family,

@@ -104,11 +104,6 @@ def cp_map(source: BlockStructure, target: BlockStructure, kraus: dict) -> CPMap
     return CPMap(source, target, tuple(items))
 
 
-def identity_map(structure: BlockStructure) -> CPMap:
-    kraus = {(i, i): [np.eye(n, dtype=complex)] for i, n in enumerate(structure.block_dims)}
-    return cp_map(structure, structure, kraus)
-
-
 def conjugation_map(structure: BlockStructure, ops) -> CPMap:
     """Single-Kraus blockwise map x_i -> a_i x_i a_i*."""
     kraus = {(i, i): [ops[i]] for i in range(structure.num_blocks)}
@@ -267,9 +262,10 @@ class SemigroupFamily:
 
     @cached_property
     def theta(self) -> np.ndarray:
-        """Superoperator of the diagonal step: every generator applied once."""
-        theta = np.eye(self.structure.coord_dim, dtype=complex)
-        for gen in self.generators:
+        """Superoperator of the diagonal step: every generator applied once; for d = 1, the generator's own."""
+        first, *rest = self.generators
+        theta = first.superop
+        for gen in rest:
             theta = gen.superop @ theta
         theta.flags.writeable = False
         return theta

@@ -33,6 +33,7 @@ from .vnalg import (
     _compressed,
     _injected,
     _norms,
+    _norms_within,
     corner,
     element_from_coords,
     identity_element,
@@ -88,8 +89,9 @@ def check_minimality(alpha: SemigroupFamily, p: AlgebraElement) -> MinimalityRes
     d_{n+1} = d_n the defect is fixed for good.  The net therefore loses
     at least one unit of rank per step until it stops, within
     r = tr(1-p) steps: alpha is minimal iff d_r = 0.  Norms, which are
-    0 or 1 up to rounding, are compared with 1/2.  The net is iterated
-    on coordinates; the result is cached on alpha, keyed by p.
+    0 or 1 up to rounding, are compared with 1/2 by `_norms_within`, whose
+    screens leave only the reported norm to an eigensolver on most steps.
+    The net is iterated on coordinates; the result is cached on alpha, keyed by p.
     """
     if not alpha.is_endomorphic:
         raise ShapeMismatch("minimality is decided for *-endomorphic families only")
@@ -105,11 +107,10 @@ def check_minimality(alpha: SemigroupFamily, p: AlgebraElement) -> MinimalityRes
     rank = round(sum(np.trace(b).real for b in q.blocks))
     defect = q.coords()[:, None]
     for n in range(rank + 1):
-        defect_norm = norm(defect)
-        if defect_norm <= 0.5:
-            return MinimalityResult(Minimality.MINIMAL, n, defect_norm)
+        if _norms_within(st, defect, 0.5)[0]:
+            return MinimalityResult(Minimality.MINIMAL, n, norm(defect))
         nxt = theta @ defect
-        if norm(nxt - defect) <= 0.5:
+        if _norms_within(st, nxt - defect, 0.5)[0]:
             return MinimalityResult(Minimality.NON_MINIMAL, n + 1, norm(nxt), limit=element_from_coords(st, nxt))
         defect = nxt
     raise CpfixError(

@@ -24,7 +24,7 @@ from .errors import (
     NotFixed,
     NotInCStar,
 )
-from .matcore import nullspace, op_norm, psd_sqrt, random_unit_vector
+from .matcore import nullspace, nullspace_pair, op_norm, psd_sqrt, random_unit_vector
 from .vnalg import (
     AlgebraElement,
     BlockStructure,
@@ -32,6 +32,7 @@ from .vnalg import (
     _combos,
     _compressed,
     _coords,
+    _frame,
     _injected,
     _norms,
     _norms_within,
@@ -90,25 +91,26 @@ def _exceeds(gap: float, tol: float, norm) -> bool:
     return gap > tol and gap > tol * max(1.0, norm())
 
 
-def _hermitian_basis(structure: BlockStructure, cols: np.ndarray) -> np.ndarray:
-    """Rotate an orthonormal basis of a *-closed span into Hermitian form.
+@_cached_on_argument
+def _kernels(family: SemigroupFamily) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed basis B, spanning the joint ker(S_i - 1), and W, spanning the joint ker(S_i - 1)*.
 
-    Hermitian elements of the span form a real subspace whose real
-    orthonormal bases are automatically complex orthonormal; one SVD of
-    the real representation of the symmetrized candidates produces it.
+    Kraus maps preserve adjoints, so T*(S_1 - 1)T is real in the Hermitian frame T of `_frame`.
+    One real SVD of it, cut at FIXED_TOL, gives both of its kernels; T maps the right one to a
+    Hermitian orthonormal B and the left one to W.  Every further generator commutes with S_1, so
+    it maps both kernels into themselves, and its kernel within each is that of the r x r block
+    B*(S_i - 1)B or W*(S_i - 1)*W, which is real as well.
     """
-    r = cols.shape[1]
-    if r == 0:
-        return cols
-    w = _star(structure, cols)
-    c = np.stack([0.5 * (cols + w), -0.5j * (cols - w)], axis=-1).reshape(len(cols), 2 * r)
-    real_rep = np.vstack([c.real, c.imag])
-    u, s, _ = np.linalg.svd(real_rep, full_matrices=False)
-    if s.size < r or s[r - 1] <= 1e-8 * s[0]:
-        raise NoConvergence("hermitian rebasing of a fixed space degenerated")
-    d = structure.coord_dim
-    out = u[:d, :r] + 1j * u[d:, :r]
-    return out
+    t = _frame(family.structure)
+    first, *rest = family.generators
+    s = first.superop
+    w, b = nullspace_pair((t.conj().T @ (s - np.eye(len(s))) @ t).real, FIXED_TOL)
+    b, w = t @ b, t @ w
+    for gen in rest:
+        s = gen.superop
+        b = b @ nullspace((b.conj().T @ (s @ b - b)).real, FIXED_TOL)
+        w = w @ nullspace((w.conj().T @ (s.conj().T @ w - w)).real, FIXED_TOL)
+    return b, w
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,13 +128,9 @@ class FixedSpace:
 
 @_cached_on_argument
 def fixed_space(family: SemigroupFamily) -> FixedSpace:
-    """Joint fixed space of the generators: intersection of ker(S_i - 1)."""
+    """Joint fixed space of the generators: intersection of ker(S_i - 1), with the Hermitian basis of `_kernels`."""
     st = family.structure
-    d = st.coord_dim
-    eye = np.eye(d)
-    stacked = np.vstack([g.superop - eye for g in family.generators])
-    cols = nullspace(stacked, FIXED_TOL)
-    cols = _hermitian_basis(st, cols)
+    cols = _kernels(family)[0]
     if not np.all(_norms_within(st, np.hstack([g.superop @ cols - cols for g in family.generators]), 1e-8)):
         raise NoConvergence("fixed-space basis fails the defining equation")
     basis = tuple(element_from_coords(st, cols[:, k]) for k in range(cols.shape[1]))
@@ -192,16 +190,15 @@ class ErgodicProjection:
 
 @_cached_on_argument
 def _splitting(family: SemigroupFamily) -> tuple[np.ndarray, dict]:
-    """rho = B (W* B)^{-1} W* and its diagnostics, from the fixed basis B and one SVD for W.
+    """rho = B (W* B)^{-1} W* and its diagnostics, from the fixed basis B and the dual kernel W of `_kernels`.
 
-    W spans the joint kernel of the stacked (S_i - 1)*.  The generators
+    W spans the joint kernel of the (S_i - 1)*.  The generators
     commute and are power bounded, so the product of their Cesaro limits
     projects onto the joint fixed space along sum_i ran(1 - S_i), which is
     (intersection of ker (S_i - 1)*)^perp: that product is rho.
     """
     b = fixed_space(family).matrix
-    eye = np.eye(b.shape[0])
-    w = nullspace(np.vstack([g.superop.conj().T - eye for g in family.generators]), FIXED_TOL)
+    w = _kernels(family)[1]
     r = b.shape[1]
     diag = {"fixed_dim": int(r)}
     if w.shape[1] != r:
@@ -587,13 +584,13 @@ def kernel_ideal_check(
 
 
 def _hermitian_floor(structure: BlockStructure, vs) -> float:
-    """Smallest eigenvalue of the Hermitian parts of every element in the coordinate blocks vs."""
-    worst = np.inf
-    for v in vs:
-        for b in _blocks(structure, v):
-            w = np.linalg.eigvalsh(0.5 * (b + b.conj().swapaxes(-1, -2)))
-            worst = min(worst, float(np.min(w, initial=np.inf)))
-    return worst
+    """Smallest eigenvalue of the Hermitian parts of every element in the coordinate blocks vs.
+
+    One stacked eigvalsh per block size, which solves each matrix as its own call would.
+    """
+    blocks = _blocks(structure, np.hstack(vs))
+    stacks = [np.concatenate([b for b in blocks if b.shape[-1] == n]) for n in set(structure.block_dims)]
+    return min(float(np.min(np.linalg.eigvalsh(0.5 * (b + b.conj().swapaxes(-1, -2))), initial=np.inf)) for b in stacks)
 
 
 def _beta(powers: list, s_idx: np.ndarray, v: np.ndarray) -> np.ndarray:

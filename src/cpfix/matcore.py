@@ -2,9 +2,10 @@
 
 Hermitian spectral decompositions, operator norms, nullspaces and PSD
 utilities used by every other module.  Matrices are numpy arrays of
-complex128.  Tolerances are relative to max(1, ||operand||), so one value
-serves tiny and O(1)-normed inputs alike.  The nullspace and PSD kernels
-take their tolerance from the caller, which owns the decision it cuts.
+complex128; the nullspace kernels keep a real input real.  Tolerances are
+relative to max(1, ||operand||), so one value serves tiny and O(1)-normed
+inputs alike.  The nullspace and PSD kernels take their tolerance from the
+caller, which owns the decision it cuts.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from .errors import NoConvergence, NotHermitian, NotPSD, ShapeMismatch
 HERMITIAN_TOL = 1e-9  # eig_hermitian and psd_sqrt reject ||A - A*|| above this times max(1, ||A||)
 
 
-def as_matrix(a, what: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-d complex array."""
-    m = np.asarray(a, dtype=complex)
+def as_matrix(a, what: str = "matrix", dtype=complex) -> np.ndarray:
+    """Coerce to a finite 2-d array of dtype; dtype None keeps a real input real (float64)."""
+    m = np.asarray(a, dtype=dtype or np.result_type(np.asarray(a), float))
     if m.ndim != 2:
         raise ShapeMismatch(f"{what}: expected 2-d array, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.all(np.isfinite(m)):
         raise ValueError(f"{what}: contains NaN or Inf entries")
     return m
 
@@ -75,9 +76,9 @@ def nullspace(l: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical nullspace of L.
 
     Keeps every right singular direction with singular value at most
-    tol * max(1, sigma_max).  May return a (n, 0) array.
+    tol * max(1, sigma_max).  May return a (n, 0) array, real for a real L.
     """
-    l = as_matrix(l)
+    l = as_matrix(l, dtype=None)
     # a tall L has all n right singular vectors in the reduced SVD, which skips the m x m U
     _, s, vh = np.linalg.svd(l, full_matrices=l.shape[0] < l.shape[1])
     return vh[_null_mask(s, l.shape[1], tol)].conj().T
@@ -88,9 +89,9 @@ def nullspace_pair(l: np.ndarray, tol: float):
 
     Returns (left, right): columns of `left` span ker(L*), columns of
     `right` span ker(L), each cut at tol * max(1, sigma_max) as in
-    `nullspace`.  For square L both bases have equal dimension.
+    `nullspace`.  For square L both bases have equal dimension; both are real for a real L.
     """
-    l = as_matrix(l)
+    l = as_matrix(l, dtype=None)
     m, n = l.shape
     u, s, vh = np.linalg.svd(l, full_matrices=True)
     return u[:, _null_mask(s, m, tol)], vh[_null_mask(s, n, tol)].conj().T

@@ -15,6 +15,7 @@ so no other module needs to know the layout.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .matcore import as_matrix, op_norm
 
 PROJ_TOL = 1e-9  # validate_projection accepts a block as it is within this of p = p* = p^2
 SNAP_TOL = 1e-6  # and else rounds eigenvalues within this of {0, 1}
+SCREEN_MARGIN = 1e-9  # _norms_within fails a column whose largest coordinate exceeds (1 + this) times its bound
 
 
 @dataclass(frozen=True)
@@ -277,18 +279,41 @@ def _norms(structure: BlockStructure, v: np.ndarray) -> np.ndarray:
 
 
 def _norms_within(structure: BlockStructure, v: np.ndarray, bound) -> np.ndarray:
-    """_norms(structure, v) <= bound for every column, taking _norms only of the columns a screen leaves open.
+    """_norms(structure, v) <= bound for every column, taking _norms only of the columns two screens leave open.
 
     A block's operator norm is at most its Frobenius norm, which is at
     most the column's 2-norm, so a column whose 2-norm is within half its
     bound passes; the factor 2 keeps rounding in the two formulas from
-    flipping a comparison.  `bound` is a number or one per column.
+    flipping a comparison.  No coordinate exceeds the operator norm of its
+    block, so a column with a coordinate above (1 + SCREEN_MARGIN) times
+    its bound fails.  `bound` is a number or one per column.
     """
+    bound = np.broadcast_to(bound, v.shape[1:])
     within = np.linalg.norm(v, axis=0) <= 0.5 * bound
     if not within.all():
         rest = np.flatnonzero(~within)
-        within[rest] = _norms(structure, v[:, rest]) <= np.broadcast_to(bound, within.shape)[rest]
+        rest = rest[np.abs(v[:, rest]).max(axis=0) <= (1.0 + SCREEN_MARGIN) * bound[rest]]
+        within[rest] = _norms(structure, v[:, rest]) <= bound[rest]
     return within
+
+
+@functools.cache
+def _frame(structure: BlockStructure) -> np.ndarray:
+    """The unitary T whose columns are E_aa, (E_ab + E_ba)/√2 and i(E_ab - E_ba)/√2 (a < b), block by block.
+
+    The Hermitian elements are the real combinations of these Hermitian columns, so T* S T is real
+    for every S that preserves adjoints.  Built once per structure, and read-only.
+    """
+    d, r2 = structure.coord_dim, np.sqrt(0.5)
+    t = np.zeros((d, d), dtype=complex)
+    for n, sl in zip(structure.block_dims, structure.coord_slices()):  # a block's units take its n^2 columns
+        a, b = np.triu_indices(n, 1)
+        upper, lower, re = sl.start + a * n + b, sl.start + b * n + a, sl.start + n + np.arange(a.size)
+        t[sl.start + np.arange(n) * (n + 1), sl.start + np.arange(n)] = 1.0
+        t[upper, re] = t[lower, re] = r2
+        t[upper, re + a.size], t[lower, re + a.size] = 1j * r2, -1j * r2
+    t.flags.writeable = False
+    return t
 
 
 def _combos(matrix: np.ndarray, g: np.ndarray) -> np.ndarray:

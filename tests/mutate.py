@@ -29,6 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DILATION = ("dilation.py", ("tests/test_dilation.py",))
 FIXPOINT = ("fixpoint.py", ("tests/test_fixpoint.py", "tests/test_golden.py"))
 VNALG = ("vnalg.py", ("tests/test_vnalg.py",))
+FRAME = ("vnalg.py", ("tests/test_vnalg.py", "tests/test_fixpoint.py"))
 THETA = ("cpsemi.py", ("tests/test_cpsemi.py", "tests/test_dilation.py", "tests/test_fixpoint.py"))
 ENDOMORPHISM = ("cpsemi.py", ("tests/test_cpsemi.py",))
 
@@ -46,8 +47,8 @@ MUTANTS = {
     "minimality-threshold-1e-10": (
         DILATION,
         [
-            ("if defect_norm <= 0.5:", "if defect_norm <= 1e-10:"),
-            ("if norm(nxt - defect) <= 0.5:", "if norm(nxt - defect) <= 1e-10:"),
+            ("if _norms_within(st, defect, 0.5)[0]:", "if _norms_within(st, defect, 1e-10)[0]:"),
+            ("if _norms_within(st, nxt - defect, 0.5)[0]:", "if _norms_within(st, nxt - defect, 1e-10)[0]:"),
         ],
     ),
     "endomorphism-contractive-guard-dropped": (
@@ -82,8 +83,7 @@ MUTANTS = {
     ),
     "theta-first-generator-only": (
         THETA,
-        [("for gen in self.generators:\n            theta = gen.superop @ theta",
-          "for gen in self.generators[:1]:\n            theta = gen.superop @ theta")],
+        [("for gen in rest:\n            theta = gen.superop @ theta", "for gen in rest[:0]:\n            theta = gen.superop @ theta")],
     ),
     "fixed-space-first-generator": (
         FIXPOINT,
@@ -93,10 +93,16 @@ MUTANTS = {
         VNALG,
         [("within = np.linalg.norm(v, axis=0) <= 0.5 * bound", "within = np.linalg.norm(v, axis=0) <= bound")],
     ),
-    "splitting-first-generator": (
-        FIXPOINT,
-        [("g.superop.conj().T - eye for g in family.generators]", "g.superop.conj().T - eye for g in family.generators[:1]]")],
+    "norm-screen-coordinate-no-margin": (
+        VNALG,
+        [("<= (1.0 + SCREEN_MARGIN) * bound[rest]]", "<= bound[rest]]")],
     ),
+    "norm-screen-coordinate-reversed": (
+        VNALG,
+        [("<= (1.0 + SCREEN_MARGIN) * bound[rest]]", "> (1.0 + SCREEN_MARGIN) * bound[rest]]")],
+    ),
+    "kernels-skip-restriction": (FIXPOINT, [("    for gen in rest:\n        s = gen.superop\n", "    for gen in rest[:0]:\n        s = gen.superop\n")]),
+    "frame-imaginary-sign-flipped": (FRAME, [("1j * r2, -1j * r2", "1j * r2, 1j * r2")]),
     "splitting-dimension-guard-dropped": (
         FIXPOINT,
         [("    if w.shape[1] != r:\n        raise NoConvergence(", "    if False:\n        raise NoConvergence(")],

@@ -15,7 +15,7 @@ from cpfix.cli import cmd_analyze, cmd_demo, cmd_dilation, cmd_validate, load_pr
 from cpfix.matcore import op_norm, random_complex
 from cpfix.vnalg import element_from_coords
 
-from helpers import linear_lift
+from helpers import identity_map, linear_lift
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -137,7 +137,7 @@ def test_acceptance_4_exact_oracles():
 
 def test_acceptance_5_negative_controls():
     st = cf.BlockStructure((2, 2))
-    alpha = cf.make_family([cf.identity_map(st)], expect_endomorphic=True)
+    alpha = cf.make_family([identity_map(st)], expect_endomorphic=True)
     p = cf.AlgebraElement(st, (np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)))
     inst = cf.make_instance(alpha, p)
     verdict = cf.check_minimality(inst.alpha, inst.p)

@@ -23,6 +23,8 @@ from cpfix.cli import (
     write_report,
 )
 
+from helpers import loose_dual_kernels
+
 ALL_FAMILIES = ["tail-shift", "rotation", "damping", "leaky-damping", "random-mixture", "random-dilation"]
 
 
@@ -225,8 +227,9 @@ def test_derived_objects_built_once_per_family(tmp_path, monkeypatch):
     assert counts["dilation.MinimalityResult"] == 1
     # compression and minimality share one co-invariance check: one PSD test per generator
     assert counts["dilation.element_is_psd"] == 2
-    # one reduced SVD each: N^phi and M^alpha, the dual kernel W of rho_phi and of rho_alpha, the kernel-ideal check
-    assert (counts["matcore.nullspace"], counts["matcore.nullspace_pair"]) == (5, 0)
+    # one full real SVD per family (N^phi and M^alpha) gives both kernels of its first generator;
+    # the second generator cuts B and W on their r x r blocks (4 small SVDs), and the kernel-ideal check takes one
+    assert (counts["matcore.nullspace"], counts["matcore.nullspace_pair"]) == (5, 2)
     # the suite's limit_vs_mean block, and one C*(N^phi) basis block that both lifting rows read
     assert counts["fixpoint._diagonal_limits"] == 2
 
@@ -235,21 +238,15 @@ def test_derived_objects_built_once_per_family(tmp_path, monkeypatch):
     assert counts["cpsemi.to_superoperator"] == 2
     assert counts["cpsemi.validate_family"] == 1
     assert [counts[name] for name in results] == [1, 1, 1]
-    assert (counts["matcore.nullspace"], counts["matcore.nullspace_pair"]) == (3, 0)
+    # one kernel SVD for the family, two r x r blocks for its second generator, one for the kernel ideal
+    assert (counts["matcore.nullspace"], counts["matcore.nullspace_pair"]) == (3, 1)
 
 
 def test_loose_convergence_tol_is_an_ergodic_projection_error(tmp_path, monkeypatch):
-    # the dual kernel W splits off at 1e-2 while fixed_space keeps FIXED_TOL: leaky damping's slow
-    # directions join W, whose dimension then exceeds that of the fixed space
+    # kernels whose W is cut at 1e-2 while B keeps FIXED_TOL: leaky damping's slow directions
+    # join W, whose dimension then exceeds that of the fixed space
     path = demo_path(tmp_path, "leaky-damping", {"c": "0.999", "s": "0.03"})
-    splitting = fixpoint._splitting
-
-    def loose(family):
-        with monkeypatch.context() as m:
-            m.setattr(fixpoint, "FIXED_TOL", 1e-2)
-            return splitting(family)
-
-    monkeypatch.setattr(fixpoint, "_splitting", loose)
+    monkeypatch.setattr(fixpoint, "_kernels", loose_dual_kernels(monkeypatch))
     counts = count_calls(monkeypatch, ("fixpoint.ErgodicProjection",))
     rep = cmd_analyze(path)
     by_task = {e["task"]: e for e in rep["entries"]}

@@ -14,7 +14,6 @@ from cpfix.cpsemi import (
     conjugation_map,
     cp_map,
     damping_family,
-    identity_map,
     leaky_damping_family,
     make_family,
     mixture_family_with_data,
@@ -28,7 +27,7 @@ from cpfix.cpsemi import (
 )
 from cpfix.dilation import build_random_instance, tail_shift_map
 
-from helpers import random_element
+from helpers import identity_map, random_element
 
 M2 = BlockStructure((2,))
 E00 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)

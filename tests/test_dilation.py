@@ -20,7 +20,6 @@ from cpfix.cpsemi import (
     conjugation_map,
     cp_map,
     damping_family,
-    identity_map,
     make_family,
     to_superoperator,
 )
@@ -38,7 +37,7 @@ from cpfix.dilation import (
 )
 from cpfix.fixpoint import fixed_space
 
-from helpers import random_element
+from helpers import identity_map, random_element
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 

@@ -15,6 +15,7 @@ from cpfix.vnalg import (
     _combos,
     _injected,
     _norms,
+    _star,
     amplify_combination,
     compress,
     element_from_coords,
@@ -27,7 +28,6 @@ from cpfix.cpsemi import (
     conjugation_map,
     cp_map,
     damping_family,
-    identity_map,
     leaky_damping_family,
     make_family,
     rotation_family,
@@ -56,7 +56,7 @@ from cpfix.fixpoint import (
     span_distance,
 )
 
-from helpers import embed, identity_family, linear_lift, mixture_family, random_element
+from helpers import embed, identity_family, identity_map, linear_lift, loose_dual_kernels, mixture_family, random_element
 
 M2 = BlockStructure((2,))
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -97,9 +97,10 @@ def test_fixed_space_damping_scalars():
 
 
 def test_fixed_space_rejects_a_basis_a_generator_moves(monkeypatch):
-    # a nullspace that returns span{E01, E10}: the identity fixes it, the second generator
-    # rotates it by e^{-+i pi/3}, so the check on the coordinate block must fail
-    monkeypatch.setattr(fixpoint, "nullspace", lambda m, tol: np.eye(4, dtype=complex)[:, 1:3])
+    # kernels whose B spans the Hermitian span{E01 + E10, i(E01 - E10)}: the identity fixes it, the
+    # second generator rotates it by e^{-+i pi/3}, so the check on the coordinate block must fail
+    moved = np.array([[0, 1, 1, 0], [0, 1j, -1j, 0]]).T / np.sqrt(2.0)
+    monkeypatch.setattr(fixpoint, "_kernels", lambda family: (moved, moved))
     fam = SemigroupFamily(M2, (identity_map(M2), rotation_family(np.pi / 3).generators[0]))
     with pytest.raises(NoConvergence, match="fails the defining equation"):
         fixed_space(fam)
@@ -249,11 +250,60 @@ def test_shared_rho_matches_the_per_generator_product(monkeypatch):
         assert np.allclose([getattr(got, f) for f in fields], [getattr(ref, f) for f in fields], rtol=0, atol=1e-12)
 
 
+def hermitian_basis(structure, cols):
+    """An orthonormal basis of a *-closed span rotated into Hermitian form, by one SVD of the real
+    representation of the symmetrized candidates: the rebasing that fixed_space once applied."""
+    r = cols.shape[1]
+    if r == 0:
+        return cols
+    w = _star(structure, cols)
+    c = np.stack([0.5 * (cols + w), -0.5j * (cols - w)], axis=-1).reshape(len(cols), 2 * r)
+    u, s, _ = np.linalg.svd(np.vstack([c.real, c.imag]), full_matrices=False)
+    assert s.size >= r and s[r - 1] > 1e-8 * s[0]
+    d = structure.coord_dim
+    return u[:d, :r] + 1j * u[d:, :r]
+
+
+def stacked_kernels(family):
+    """Reference B and W: one SVD of the stacked S_i - 1 and one of the stacked (S_i - 1)*, B rebased to Hermitian form."""
+    eye = np.eye(family.structure.coord_dim)
+    b = nullspace(np.vstack([g.superop - eye for g in family.generators]), fixpoint.FIXED_TOL)
+    w = nullspace(np.vstack([g.superop.conj().T - eye for g in family.generators]), fixpoint.FIXED_TOL)
+    return hermitian_basis(family.structure, b), w
+
+
+def test_kernels_match_the_stacked_route():
+    """One real SVD in the Hermitian frame and the r x r restrictions give the stacked route's kernels.
+
+    The families: build_random_instance seeds 0-39 x d = 1, 2 (alpha and phi), mixtures with
+    d = 1, 2, the named models, and leaky dampings, dampings and rotations at gaps 1e-1 ... 1e-9.
+    """
+    instances = [build_random_instance(seed, d=d) for seed in range(40) for d in (1, 2)]
+    families = [f for inst in instances for f in (inst.alpha, inst.phi)]
+    families += [mixture_family(seed, dims=(2, 3), terms=3, d=d) for seed in range(10) for d in (1, 2)]
+    families += [damping_family(0.5), rotation_family(), leaky_damping_family(), identity_family(M2, d=2)]
+    families += [fam for k in range(1, 10) for fam in gap_models(10.0**-k)]
+    for fam in families:
+        st = fam.structure
+        b, w = fixpoint._kernels(fam)
+        ref_b, ref_w = stacked_kernels(fam)
+        assert b.shape == ref_b.shape and w.shape == ref_w.shape
+        assert np.max(np.abs(b @ b.conj().T - ref_b @ ref_b.conj().T), initial=0.0) <= 1e-12
+        assert np.max(np.abs(w @ w.conj().T - ref_w @ ref_w.conj().T), initial=0.0) <= 1e-12
+        # B is Hermitian and orthonormal, and it is the fixed basis itself
+        assert np.max(np.abs(_star(st, b) - b), initial=0.0) <= 1e-12
+        assert np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1])), initial=0.0) <= 1e-12
+        assert fixed_space(fam).matrix is b
+
+
 def test_splitting_dimension_mismatch_is_no_convergence(monkeypatch):
-    # the dual kernel W taken at 1e-2 holds leaky damping's slow directions, the fixed basis does not
+    # for d = 1 one square SVD gives both kernels, so their dimensions agree by rank-nullity; kernels
+    # whose W is taken at 1e-2 hold leaky damping's slow directions, and the fixed basis does not
     fam = leaky_damping_family(0.999, 0.03)
     assert fixed_space(fam).dimension == 1
-    monkeypatch.setattr(fixpoint, "FIXED_TOL", 1e-2)
+    assert fixpoint._kernels(fam)[1].shape[1] == 1
+    monkeypatch.setattr(fixpoint, "_kernels", loose_dual_kernels(monkeypatch))
+    assert fixpoint._kernels(fam)[1].shape[1] == 4
     with pytest.raises(NoConvergence, match="fixed space has dimension 1 but its dual"):
         ergodic_projection(fam)
 

@@ -5,12 +5,16 @@ from hypothesis import strategies as st
 
 from cpfix.errors import NotProjection, ShapeMismatch
 from cpfix.matcore import op_norm, random_complex, random_unitary
+from cpfix.cpsemi import cp_map
 from cpfix.vnalg import (
     AlgebraElement,
     BlockStructure,
+    SCREEN_MARGIN,
     _blocks,
+    _frame,
     _norms,
     _norms_within,
+    _star,
     amplify_combination,
     compress,
     corner,
@@ -221,12 +225,14 @@ def test_block_norms_equal_the_per_block_loop(dims, columns, seed):
     st.integers(min_value=0, max_value=10**6),
 )
 def test_norm_screen_equals_the_exact_comparison(dims, scale, seed):
-    """_norms_within decides _norms <= bound column by column, at every edge of both its formulas.
+    """_norms_within decides _norms <= bound column by column, at every edge of its three formulas.
 
-    The columns are random elements and rank-one elements with one nonzero
-    block, whose operator norm equals their Frobenius norm.  Each column is
-    scaled by 10**scale and then meets bounds just below, at and just above
-    its exact norm, its 2-norm and twice its 2-norm.
+    The columns are random elements, rank-one elements with one nonzero
+    block, whose operator norm equals their Frobenius norm, and elements
+    with one nonzero coordinate, whose operator norm equals its modulus.
+    Each column is scaled by 10**scale and then meets bounds just below, at
+    and just above its exact norm, its 2-norm, twice its 2-norm, its
+    largest coordinate modulus and that modulus over 1 + SCREEN_MARGIN.
     """
     structure = BlockStructure(dims)
     rng = np.random.default_rng(seed)
@@ -236,12 +242,37 @@ def test_norm_screen_equals_the_exact_comparison(dims, scale, seed):
         for j in range(2):
             rank_one[sl, j] = (random_complex(rng, n, 1) @ random_complex(rng, 1, n)).ravel()
         cols.append(rank_one)
-    v = np.hstack(cols) * 10.0**scale
-    exact, frob = _norms(structure, v), np.linalg.norm(v, axis=0)
-    refs = np.concatenate([exact, frob, 2.0 * frob])
+    single = np.zeros((structure.coord_dim, 8), dtype=complex)
+    single[rng.integers(0, structure.coord_dim, size=8), np.arange(8)] = random_complex(rng, 1, 8)[0]
+    v = np.hstack(cols + [single]) * 10.0**scale
+    exact, frob, peak = _norms(structure, v), np.linalg.norm(v, axis=0), np.abs(v).max(axis=0)
+    refs = np.concatenate([exact, frob, 2.0 * frob, peak, peak / (1.0 + SCREEN_MARGIN)])
     bound = np.concatenate([np.nextafter(refs, 0.0), refs, np.nextafter(refs, np.inf)])
-    v = np.tile(v, 9)
+    v = np.tile(v, 15)
     assert np.array_equal(_norms_within(structure, v, bound), _norms(structure, v) <= bound)
     for j in range(v.shape[1]):
         col = v[:, j : j + 1]
         assert _norms_within(structure, col, bound[j])[0] == (_norms(structure, col)[0] <= bound[j])
+
+
+@pytest.mark.parametrize("dims", [(1,), (2,), (3, 1, 2), (4, 4)])
+def test_frame_is_a_unitary_of_hermitian_units(dims):
+    """T is unitary, its columns are the documented Hermitian units, and T* S T is real for a Kraus map S."""
+    structure = BlockStructure(dims)
+    t = _frame(structure)
+    assert t is _frame(BlockStructure(dims)) and not t.flags.writeable
+    assert op_norm(t.conj().T @ t - np.eye(structure.coord_dim)) <= 1e-15
+    assert np.array_equal(_star(structure, t), t)
+    n, r2 = dims[0], np.sqrt(0.5)
+    if n >= 2:
+        # block 0 in row-major coordinates: E_00 and E_11 first, then the symmetric and antisymmetric units of (0, 1)
+        units = np.zeros((4, n * n), dtype=complex)
+        units[0, 0] = units[1, n + 1] = 1.0
+        units[2, [1, n]] = r2
+        units[3, [1, n]] = [1j * r2, -1j * r2]
+        assert np.array_equal(t[: n * n, [0, 1, n, n + n * (n - 1) // 2]].T, units)
+    rng = np.random.default_rng(sum(dims))
+    # one Kraus operator of random shape per pair of blocks, so S mixes blocks and is far from unitary
+    kraus = {(j, i): [random_complex(rng, nj, ni) / 3.0] for j, nj in enumerate(dims) for i, ni in enumerate(dims)}
+    s = cp_map(structure, structure, kraus).superop
+    assert np.max(np.abs((t.conj().T @ s @ t).imag)) <= 1e-14
