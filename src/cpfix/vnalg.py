@@ -293,7 +293,8 @@ def _norms_within(structure: BlockStructure, v: np.ndarray, bound) -> np.ndarray
     if not within.all():
         rest = np.flatnonzero(~within)
         rest = rest[np.abs(v[:, rest]).max(axis=0) <= (1.0 + SCREEN_MARGIN) * bound[rest]]
-        within[rest] = _norms(structure, v[:, rest]) <= bound[rest]
+        if rest.size:
+            within[rest] = _norms(structure, v[:, rest]) <= bound[rest]
     return within
 
 
