@@ -252,7 +252,7 @@ def test_shared_rho_matches_the_per_generator_product(monkeypatch):
 
 def hermitian_basis(structure, cols):
     """An orthonormal basis of a *-closed span rotated into Hermitian form, by one SVD of the real
-    representation of the symmetrized candidates: the rebasing that fixed_space once applied."""
+    representation of the symmetrized candidates: the rebasing step of the stacked route."""
     r = cols.shape[1]
     if r == 0:
         return cols
