@@ -31,7 +31,7 @@ CHOI_PRUNE_TOL = 1e-13  # compose drops Choi eigenvalues at or below this times 
 def _cached_on_argument(fn):
     """Memoise fn(obj, *args) on obj, keyed by (fn.__name__, *args).
 
-    Families, fixed spaces, instances and elements are immutable, so a
+    Maps, families, fixed spaces, instances and elements are immutable, so a
     result computed once serves every later call with the same arguments.
     The key is the positional arguments as passed: memoised functions take
     positional arguments only and have no defaults, so a lookup costs one
@@ -193,8 +193,13 @@ class CPReport:
     contractive_floor: float
 
 
+@_cached_on_argument
 def validate_cp(phi: CPMap) -> CPReport:
-    """Contractive and unital flags, each within VALIDATION_TOL; Kraus form is CP by construction."""
+    """Contractive and unital flags, each within VALIDATION_TOL; Kraus form is CP by construction.
+
+    Computed once per map: every later call, from make_family, the CLI's
+    validation or ergodic_projection, reads the same report.
+    """
     one = identity_element(phi.source)
     img = apply(phi, one)
     unital_defect = (img - identity_element(phi.target)).norm()
@@ -259,6 +264,13 @@ class SemigroupFamily:
     @property
     def rank(self) -> int:
         return len(self.generators)
+
+    @cached_property
+    def superops(self) -> np.ndarray:
+        """The (d, D, D) stack of the generators' superoperators, built once per family and read-only."""
+        stack = np.stack([g.superop for g in self.generators])
+        stack.flags.writeable = False
+        return stack
 
     @cached_property
     def theta(self) -> np.ndarray:

@@ -24,7 +24,7 @@ from .errors import (
     NotFixed,
     NotInCStar,
 )
-from .matcore import nullspace, nullspace_pair, op_norm, psd_sqrt, random_unit_vector
+from .matcore import nullspace, nullspace_pair, op_norm, psd_sqrt
 from .vnalg import (
     AlgebraElement,
     BlockStructure,
@@ -33,6 +33,7 @@ from .vnalg import (
     _compressed,
     _coords,
     _frame,
+    _frame_entries,
     _injected,
     _norms,
     _norms_within,
@@ -96,15 +97,19 @@ def _kernels(family: SemigroupFamily) -> tuple[np.ndarray, np.ndarray]:
     """The fixed basis B, spanning the joint ker(S_i - 1), and W, spanning the joint ker(S_i - 1)*.
 
     Kraus maps preserve adjoints, so T*(S_1 - 1)T is real in the Hermitian frame T of `_frame`.
+    Each column of T has at most two nonzeros, so T*(S_1 T) is formed by gathers (`_frame_entries`).
     One real SVD of it, cut at FIXED_TOL, gives both of its kernels; T maps the right one to a
     Hermitian orthonormal B and the left one to W.  Every further generator commutes with S_1, so
     it maps both kernels into themselves, and its kernel within each is that of the r x r block
     B*(S_i - 1)B or W*(S_i - 1)*W, which is real as well.
     """
     t = _frame(family.structure)
+    rows, vals = _frame_entries(family.structure)
     first, *rest = family.generators
     s = first.superop
-    w, b = nullspace_pair((t.conj().T @ (s - np.eye(len(s))) @ t).real, FIXED_TOL)
+    s_t = s[:, rows[0]] * vals[0] + s[:, rows[1]] * vals[1]
+    tst = vals[0].conj()[:, None] * s_t[rows[0]] + vals[1].conj()[:, None] * s_t[rows[1]]
+    w, b = nullspace_pair(tst.real - np.eye(len(s)), FIXED_TOL)
     b, w = t @ b, t @ w
     for gen in rest:
         s = gen.superop
@@ -216,24 +221,22 @@ def _splitting(family: SemigroupFamily) -> tuple[np.ndarray, dict]:
 def _cesaro_check(family: SemigroupFamily, rho: np.ndarray) -> dict:
     """The product of each generator's doubling Cesaro average A_{2N} = (A_N + S^N A_N)/2, against rho.
 
-    Each average runs to the largest power of two within CESARO_CAP terms;
-    the increment is the largest last step among the generators.
+    The averages of all generators double as one (d, D, D) stack, each to
+    the largest power of two within CESARO_CAP terms; the increment is the
+    largest last step among the generators.
     """
     steps = CESARO_CAP.bit_length() - 1
-    eye = np.eye(rho.shape[0], dtype=complex)
-    avgs, increment = [], 0.0
-    for gen in family.generators:
-        avg, pw = eye, gen.superop
-        for _ in range(steps):
-            nxt = 0.5 * (avg + pw @ avg)
-            step, avg, pw = nxt - avg, nxt, pw @ pw
-        avgs.append(avg)
-        increment = max(increment, float(op_norm(step)))
+    pw = family.superops
+    avg = np.broadcast_to(np.eye(rho.shape[0], dtype=complex), pw.shape)
+    for k in range(steps):
+        prev, avg = avg, 0.5 * (avg + pw @ avg)
+        if k + 1 < steps:
+            pw = pw @ pw
     return {
         "cesaro_terms": 2**steps,
         "cesaro_steps": steps,
-        "cesaro_increment": increment,
-        "cesaro_gap": float(op_norm(functools.reduce(np.matmul, avgs) - rho)),
+        "cesaro_increment": float(np.max(op_norm(avg - prev))),
+        "cesaro_gap": float(op_norm(functools.reduce(np.matmul, avg) - rho)),
     }
 
 
@@ -252,10 +255,13 @@ def ergodic_projection(family: SemigroupFamily) -> ErgodicProjection:
         if not rep.is_contractive:
             raise NotContractive(f"generator {idx} has phi(1) > 1 (floor {rep.contractive_floor:g})")
     rho, splitting = _splitting(family)
+    sups = family.superops
+    # one stacked op_norm: rho^2 - rho, then S_i rho - rho and rho S_i - rho for every generator
+    norms = op_norm(np.concatenate([(rho @ rho - rho)[None], sups @ rho - rho, rho @ sups - rho]))
     defects = {
-        "idempotency": op_norm(rho @ rho - rho),
-        "intertwine_left": max(op_norm(g.superop @ rho - rho) for g in family.generators),
-        "intertwine_right": max(op_norm(rho @ g.superop - rho) for g in family.generators),
+        "idempotency": norms[0],
+        "intertwine_left": np.max(norms[1 : 1 + family.rank]),
+        "intertwine_right": np.max(norms[1 + family.rank :]),
     }
     for name, value in defects.items():
         if value > 1e-8:
@@ -263,9 +269,9 @@ def ergodic_projection(family: SemigroupFamily) -> ErgodicProjection:
     choi_floor = choi_min_eig(rho, st)
     if choi_floor < -1e-9:
         raise NoConvergence(f"ergodic projection is not completely positive (Choi floor {choi_floor:g})")
-    one_img = element_from_coords(st, rho @ identity_element(st).coords())
+    one_img = _blocks(st, rho @ identity_element(st).coords()[:, None])
     one_excess = max(
-        float(np.linalg.eigvalsh(0.5 * (b + b.conj().T))[-1]) - 1.0 for b in one_img.blocks
+        float(np.linalg.eigvalsh(0.5 * (b + b.conj().swapaxes(-1, -2)))[0, -1]) - 1.0 for b in one_img
     )
     if one_excess > 1e-9:
         raise NoConvergence(f"ergodic projection is not contractive (rho(1) exceeds 1 by {one_excess:g})")
@@ -593,11 +599,26 @@ def _hermitian_floor(structure: BlockStructure, vs) -> float:
     return min(float(np.min(np.linalg.eigvalsh(0.5 * (b + b.conj().swapaxes(-1, -2))), initial=np.inf)) for b in stacks)
 
 
-def _beta(powers: list, s_idx: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """beta_s of column j for its multi-index s_idx[j], from the stacked powers of each generator."""
+def _apply_all(superops: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Every generator applied to every column of a (D, S) block: the (d, D, S) images, from one product."""
+    d, n, _ = superops.shape
+    return (superops.reshape(d * n, n) @ v).reshape(d, n, v.shape[1])
+
+
+def _side_by_side(v: np.ndarray) -> np.ndarray:
+    """The (D, d S) block of a (d, D, S) stack, generator by generator."""
+    return v.transpose(1, 0, 2).reshape(v.shape[1], -1)
+
+
+def _beta(powers: np.ndarray, s_idx: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """beta_s of column j of each (D, S) block of the stack v, for its multi-index s_idx[j].
+
+    `powers` is the (d, S_MAX + 1, D, D) stack of the powers of every generator.
+    """
+    v = v.transpose(2, 1, 0)
     for g, pw in enumerate(powers):
-        v = (pw[s_idx[:, g]] @ v.T[:, :, None])[:, :, 0].T
-    return v
+        v = pw[s_idx[:, g]] @ v
+    return v.transpose(2, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -647,8 +668,11 @@ def property_suite(
     the lifting identity pi(E(x)) = x and the factorization E(pi(y)) =
     Phi(y)).  Item failures never raise; they are reported as FAIL rows.
 
-    Each item draws its samples in the order and with the numbers of one
-    draw per sample, and works on them as one (D, S) coordinate block.
+    Each item draws its samples as arrays and works on them as one (D, S)
+    coordinate block, with every generator in one stacked product.  All but
+    the vector bound draw the numbers of one draw per sample, in sample
+    order; the vector bound draws four arrays in turn: the normals of x, of
+    a, of h, then the multi-indices s.
     The rows that need rho FAIL with its error when ergodic_projection
     raised on the family.
     """
@@ -679,11 +703,8 @@ def property_suite(
     )
     x = x * (1.0 / np.maximum(np.linalg.norm(x, axis=0), 1e-30))
     xx = _product(st, _star(st, x), x)
-    diffs = []
-    for gen in family.generators:
-        img = gen.superop @ x
-        diffs.append(gen.superop @ xx - _product(st, _star(st, img), img))
-    worst = _hermitian_floor(st, diffs)
+    img, img_xx = (_side_by_side(v) for v in np.split(_apply_all(family.superops, np.hstack([x, xx])), 2, axis=2))
+    worst = _hermitian_floor(st, [img_xx - _product(st, _star(st, img), img)])
     worst = 0.0 if not np.isfinite(worst) else worst
     items["kadison_schwarz"] = ItemResult(
         "PASS" if worst >= -PSD_FLOOR else "FAIL", float(worst), PSD_FLOOR, samples
@@ -744,29 +765,23 @@ def property_suite(
     elif erg is None:
         items["vector_bound"] = ItemResult("FAIL", np.inf, VECTOR_TOL, 0, note=erg_error)
     else:
-        # normals and rng.integers interleave, so the draws stay one sample at a time
-        gx = np.empty((samples, 2, fs.dimension))
-        ga = np.empty((samples, 2, cs.dimension))
-        h = np.empty((samples, st.space_dim), dtype=complex)
-        s_idx = np.empty((samples, family.rank), dtype=int)
-        for j in range(samples):
-            gx[j] = rng.standard_normal((2, fs.dimension))
-            ga[j] = rng.standard_normal((2, cs.dimension))
-            h[j] = random_unit_vector(rng, st.space_dim)
-            s_idx[j] = rng.integers(0, S_MAX + 1, size=family.rank)
+        # four arrays in turn: the normals of x, of a and of h, then the multi-indices s
+        gx = rng.standard_normal((samples, 2, fs.dimension))
+        ga = rng.standard_normal((samples, 2, cs.dimension))
+        gh = rng.standard_normal((samples, 2, st.space_dim))
+        s_idx = rng.integers(0, S_MAX + 1, size=(samples, family.rank))
+        h = gh[:, 0] + 1j * gh[:, 1]
+        h /= np.linalg.norm(h, axis=1, keepdims=True)
         x = _combos(fs.matrix, gx)
         q = _product(st, _star(st, x), x)
         y = rho @ q - q
         root = _coords([psd_sqrt(b, SQRT_TOL) for b in _blocks(st, y)])
         a = _combos(cs.matrix, ga)
-        powers = []
-        for gen in family.generators:
-            pw = [np.eye(st.coord_dim, dtype=complex)]
-            for _ in range(S_MAX):
-                pw.append(gen.superop @ pw[-1])
-            powers.append(np.stack(pw))
-        moved = _blocks(st, _beta(powers, s_idx, _product(st, a, root)))
-        moved_y = _blocks(st, _beta(powers, s_idx, y))
+        powers = np.empty((family.rank, S_MAX + 1, st.coord_dim, st.coord_dim), dtype=complex)
+        powers[:, 0] = np.eye(st.coord_dim)
+        for k in range(S_MAX):
+            powers[:, k + 1] = family.superops @ powers[:, k]
+        moved, moved_y = (_blocks(st, v) for v in _beta(powers, s_idx, np.stack([_product(st, a, root), y])))
         lhs = np.zeros(samples)
         form = np.zeros(samples)
         for m, my, sl in zip(moved, moved_y, st.space_slices()):

@@ -317,6 +317,22 @@ def _frame(structure: BlockStructure) -> np.ndarray:
     return t
 
 
+@functools.cache
+def _frame_entries(structure: BlockStructure) -> tuple[np.ndarray, np.ndarray]:
+    """The first and last nonzero row of each column of `_frame`, and their values, as (2, D) arrays.
+
+    A column with one nonzero (a diagonal unit) has it as its first entry and 0 as its second, so
+    S T = S[:, rows[0]] values[0] + S[:, rows[1]] values[1], by gathers in place of a dense product.
+    """
+    t = _frame(structure)
+    nonzero = t != 0
+    rows = np.stack([np.argmax(nonzero, axis=0), len(t) - 1 - np.argmax(nonzero[::-1], axis=0)])
+    values = np.take_along_axis(t, rows, axis=0)
+    values[1, rows[1] == rows[0]] = 0.0
+    rows.flags.writeable = values.flags.writeable = False
+    return rows, values
+
+
 def _combos(matrix: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Normalized complex combinations of the columns of matrix, one per sample.
 

@@ -32,6 +32,7 @@ VNALG = ("vnalg.py", ("tests/test_vnalg.py",))
 FRAME = ("vnalg.py", ("tests/test_vnalg.py", "tests/test_fixpoint.py"))
 THETA = ("cpsemi.py", ("tests/test_cpsemi.py", "tests/test_dilation.py", "tests/test_fixpoint.py"))
 ENDOMORPHISM = ("cpsemi.py", ("tests/test_cpsemi.py",))
+MATCORE = ("matcore.py", ("tests/test_matcore.py",))
 
 # name -> ((module, owning test files), [(pattern, replacement), ...])
 MUTANTS = {
@@ -124,6 +125,18 @@ MUTANTS = {
     "isometry-choi-floor-skipped": (
         FIXPOINT,
         [("choi_floor = choi_min_eig(r, emb.ambient, emb.corner)", "choi_floor = 0.0")],
+    ),
+    "psd-sqrt-screen-decides-alone": (
+        MATCORE,
+        [("herm_bad[herm_open] = op_norm(defect[herm_open]) > herm_bound[herm_open]", "herm_bad[herm_open] = True")],
+    ),
+    "cesaro-first-generator-only": (
+        FIXPOINT,
+        [("    pw = family.superops\n    avg = ", "    pw = family.superops[:1]\n    avg = ")],
+    ),
+    "kadison-schwarz-first-generator-only": (
+        FIXPOINT,
+        [("_apply_all(family.superops, np.hstack([x, xx]))", "_apply_all(family.superops[:1], np.hstack([x, xx]))")],
     ),
     "monotone-net-constant-worst": (
         FIXPOINT,

@@ -212,7 +212,7 @@ def test_derived_objects_built_once_per_family(tmp_path, monkeypatch):
     results = ("fixpoint.FixedSpace", "fixpoint.CStarSpan", "fixpoint.ErgodicProjection")
     counts = count_calls(
         monkeypatch,
-        ("cpsemi.to_superoperator", "cpsemi.validate_family", "cpsemi.compose", "dilation.MinimalityResult")
+        ("cpsemi.to_superoperator", "cpsemi.validate_family", "cpsemi.CPReport", "cpsemi.compose", "dilation.MinimalityResult")
         + ("dilation.element_is_psd", "matcore.nullspace", "matcore.nullspace_pair", "fixpoint._diagonal_limits")
         + results,
     )
@@ -220,6 +220,8 @@ def test_derived_objects_built_once_per_family(tmp_path, monkeypatch):
     # two generators on M and on N = pMp; the semigroup law is one matrix identity on their superoperators
     assert counts["cpsemi.to_superoperator"] == 4
     assert counts["cpsemi.validate_family"] == 2
+    # one CP report per map: the two generators on M and the two on N; ergodic_projection reads N's
+    assert counts["cpsemi.CPReport"] == 4
     assert counts["cpsemi.compose"] == 0
     # N^phi and M^alpha; C*(N^phi) and rho of the compressed family only
     assert [counts[name] for name in results] == [2, 1, 1]
@@ -237,6 +239,7 @@ def test_derived_objects_built_once_per_family(tmp_path, monkeypatch):
     cmd_analyze(mixture)
     assert counts["cpsemi.to_superoperator"] == 2
     assert counts["cpsemi.validate_family"] == 1
+    assert counts["cpsemi.CPReport"] == 2
     assert [counts[name] for name in results] == [1, 1, 1]
     # one kernel SVD for the family, two r x r blocks for its second generator, one for the kernel ideal
     assert (counts["matcore.nullspace"], counts["matcore.nullspace_pair"]) == (3, 1)

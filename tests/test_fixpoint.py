@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from cpfix import fixpoint
 from cpfix.errors import CpfixError, Divergent, NoConvergence, NotContractive, NotFixed, NotInCStar
-from cpfix.matcore import nullspace, nullspace_pair, op_norm, psd_sqrt, random_complex, random_unit_vector, random_unitary
+from cpfix.matcore import nullspace, nullspace_pair, op_norm, psd_sqrt, random_complex, random_unitary
 from cpfix.vnalg import (
     AlgebraElement,
     BlockStructure,
@@ -67,6 +68,11 @@ def combo(matrix, structure, rng):
     v = matrix @ random_complex(rng, matrix.shape[1], 1)[:, 0]
     n = np.linalg.norm(v)
     return element_from_coords(structure, v / n if n > 0 else v)
+
+
+def normalized(v):
+    n = np.linalg.norm(v)
+    return v / n if n > 0 else v
 
 
 def unit(a, b):
@@ -248,6 +254,43 @@ def test_shared_rho_matches_the_per_generator_product(monkeypatch):
         ref = check_complete_isometry(inst)
         assert got.passed == ref.passed
         assert np.allclose([getattr(got, f) for f in fields], [getattr(ref, f) for f in fields], rtol=0, atol=1e-12)
+
+
+def looped_cesaro(family, rho):
+    """Reference: each generator's doubling Cesaro average in its own loop, and the product against rho."""
+    steps = fixpoint.CESARO_CAP.bit_length() - 1
+    eye = np.eye(rho.shape[0], dtype=complex)
+    avgs, increment = [], 0.0
+    for gen in family.generators:
+        avg, pw = eye, gen.superop
+        for _ in range(steps):
+            nxt = 0.5 * (avg + pw @ avg)
+            step, avg, pw = nxt - avg, nxt, pw @ pw
+        avgs.append(avg)
+        increment = max(increment, float(op_norm(step)))
+    return {"cesaro_increment": increment, "cesaro_gap": float(op_norm(functools.reduce(np.matmul, avgs) - rho))}
+
+
+def looped_defects(family, rho):
+    """Reference: the idempotency defect and one op_norm per generator and side."""
+    return {
+        "idempotency": op_norm(rho @ rho - rho),
+        "intertwine_left": max(op_norm(g.superop @ rho - rho) for g in family.generators),
+        "intertwine_right": max(op_norm(rho @ g.superop - rho) for g in family.generators),
+    }
+
+
+def test_stacked_cesaro_and_defects_match_the_per_generator_loop():
+    """Mixtures with d = 1, 2, the named models and the corner families of random dilations."""
+    families = [mixture_family(seed, dims=(2, 3), terms=3, d=d) for seed in range(10) for d in (1, 2)]
+    families += [damping_family(0.5), rotation_family(), leaky_damping_family(), identity_family(M2, d=2)]
+    families += [build_random_instance(seed, d=d).phi for seed in range(10) for d in (1, 2)]
+    for fam in families:
+        erg = ergodic_projection(fam)
+        got = {**erg.diagnostics, **erg.diagnostics["defects"]}
+        want = {**looped_cesaro(fam, erg.matrix), **looped_defects(fam, erg.matrix)}
+        for key, value in want.items():
+            assert abs(got[key] - value) <= 1e-12 * value, (key, got[key], value)
 
 
 def hermitian_basis(structure, cols):
@@ -1048,15 +1091,20 @@ def looped_suite(obj, rng, samples, mono_steps=10, s_max=10):
         worst = max(worst, (erg.apply(a @ y) - erg.apply(a @ erg.apply(y))).norm())
     items["choi_effros"] = ("PASS" if worst <= 1e-9 else "FAIL", worst, samples, "")
 
+    # the four arrays of the vector bound, in turn: normals of x, of a and of h, then the multi-indices
+    gx = rng.standard_normal((samples, 2, fs.dimension))
+    ga = rng.standard_normal((samples, 2, cs.dimension))
+    gh = rng.standard_normal((samples, 2, st.space_dim))
+    s_idx = rng.integers(0, s_max + 1, size=(samples, family.rank))
     worst = -np.inf
-    for _ in range(samples):
-        x = combo(fs.matrix, st, rng)
+    for j in range(samples):
+        x = element_from_coords(st, normalized(fs.matrix @ (gx[j, 0] + 1j * gx[j, 1])))
         q = x.adjoint() @ x
         y = erg.apply(q) - q
         root = AlgebraElement(st, tuple(psd_sqrt(b, tol=1e-8) for b in y.blocks))
-        a = combo(cs.matrix, st, rng)
-        h = random_unit_vector(rng, st.space_dim)
-        s = tuple(int(v) for v in rng.integers(0, s_max + 1, size=family.rank))
+        a = element_from_coords(st, normalized(cs.matrix @ (ga[j, 0] + 1j * ga[j, 1])))
+        h = normalized(gh[j, 0] + 1j * gh[j, 1])
+        s = tuple(int(v) for v in s_idx[j])
         lhs = np.linalg.norm(embed(apply_power(family, s, a @ root)) @ h) ** 2
         rhs = a.norm() ** 2 * np.real(h.conj() @ embed(apply_power(family, s, y)) @ h)
         worst = max(worst, lhs - rhs)

@@ -205,3 +205,21 @@ def test_psd_sqrt_stack_raises_like_the_loop():
     # the first bad matrix in C order decides, as in a loop over the stack
     stack = np.stack([[eye, negative], [non_hermitian, eye]])
     assert bad_message(NotPSD, stack) == bad_message(NotPSD, negative)
+
+
+def test_hermitian_screen_leaves_open_matrices_to_the_exact_test():
+    # a defect of 5e-9 fails the Frobenius screen (7.1e-9 > HERMITIAN_TOL) but passes the exact bound
+    # 1e-9 ||a|| = 1e-7 of a matrix of norm 100; at norm 1 the same defect fails it
+    large = np.diag([100.0, 50.0]).astype(complex)
+    large[0, 1] += 5e-9
+    small = np.eye(2, dtype=complex)
+    small[0, 1] += 5e-9
+    eig_hermitian(large)
+    with pytest.raises(NotHermitian):
+        eig_hermitian(small)
+    eye = np.eye(2, dtype=complex)
+    stack = np.stack([eye, large, 4.0 * eye, large.T])
+    roots = psd_sqrt(stack, 1e-10)
+    for root, a in zip(roots, stack):
+        assert np.max(np.abs(root - psd_sqrt(a, 1e-10))) <= 1e-14
+    assert bad_message(NotHermitian, np.stack([large, small])) == bad_message(NotHermitian, small)
