@@ -255,9 +255,9 @@ def ergodic_projection(family: SemigroupFamily) -> ErgodicProjection:
         if not rep.is_contractive:
             raise NotContractive(f"generator {idx} has phi(1) > 1 (floor {rep.contractive_floor:g})")
     rho, splitting = _splitting(family)
-    sups = family.superops
+    s = family.superops
     # one stacked op_norm: rho^2 - rho, then S_i rho - rho and rho S_i - rho for every generator
-    norms = op_norm(np.concatenate([(rho @ rho - rho)[None], sups @ rho - rho, rho @ sups - rho]))
+    norms = op_norm(np.concatenate([(rho @ rho - rho)[None], s @ rho - rho, rho @ s - rho]))
     defects = {
         "idempotency": norms[0],
         "intertwine_left": np.max(norms[1 : 1 + family.rank]),
@@ -703,7 +703,9 @@ def property_suite(
     )
     x = x * (1.0 / np.maximum(np.linalg.norm(x, axis=0), 1e-30))
     xx = _product(st, _star(st, x), x)
-    img, img_xx = (_side_by_side(v) for v in np.split(_apply_all(family.superops, np.hstack([x, xx])), 2, axis=2))
+    # every S_i x and S_i(x*x) from one product, each laid out generator by generator
+    images = np.split(_apply_all(family.superops, np.hstack([x, xx])), 2, axis=2)
+    img, img_xx = (_side_by_side(v) for v in images)
     worst = _hermitian_floor(st, [img_xx - _product(st, _star(st, img), img)])
     worst = 0.0 if not np.isfinite(worst) else worst
     items["kadison_schwarz"] = ItemResult(
