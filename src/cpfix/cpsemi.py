@@ -284,7 +284,9 @@ class SemigroupFamily:
 
     def theta_square(self, k: int) -> np.ndarray:
         """theta^(2^k), by repeated squaring; every square is kept on the family."""
-        squares = vars(self).setdefault("_theta_squares", [self.theta])
+        squares = vars(self).get("_theta_squares")
+        if squares is None:
+            squares = vars(self).setdefault("_theta_squares", [self.theta])
         while len(squares) <= k:
             squares.append(squares[-1] @ squares[-1])
         return squares[k]

@@ -43,6 +43,7 @@ from .vnalg import (
 PSD_CHECK_TOL = 1e-9  # co-invariance: (1-p) - alpha_i(1-p) is PSD within this
 # tolerance of the semigroup-law check of compress_semigroup
 LAW_TOL = 1e-9
+UNITARY_TOL = 1e-9  # build_tail_shift: u*u = 1 within this (its NotUnitary message spells the value)
 
 
 def element_is_psd(x: AlgebraElement) -> bool:
@@ -205,7 +206,7 @@ def build_tail_shift(n: int, m: int, u: np.ndarray) -> DilationInstance:
     u = np.asarray(u, dtype=complex)
     if u.shape != (n, n):
         raise NotUnitary(f"unitary must be {n} x {n}, got {u.shape}")
-    if op_norm(u.conj().T @ u - np.eye(n)) > 1e-9:
+    if op_norm(u.conj().T @ u - np.eye(n)) > UNITARY_TOL:
         raise NotUnitary("matrix fails u*u = 1 within 1e-9")
     alpha = make_family([tail_shift_map(n, m, u)], expect_endomorphic=True)
     return make_instance(alpha, block_zero_projection(alpha.structure))

@@ -46,8 +46,13 @@ from .cpsemi import SemigroupFamily, _cached_on_argument, choi_min_eig, validate
 from .dilation import DilationInstance, Minimality, check_minimality
 
 FIXED_TOL = 1e-10
+FIXED_CHECK_TOL = 1e-8  # fixed_space: every generator fixes each basis column within this
+SPLITTING_FLOOR = 1e-12  # _splitting: W*B counts as singular at a singular value ratio at or below this
 SPAN_TOL = 1e-8
 CESARO_CAP = 10**6  # terms of the Cesaro average that ergodic_projection compares with rho
+PROJECTION_TOL = 1e-8  # ergodic_projection: rho^2 - rho, S_i rho - rho and rho S_i - rho within this
+PROJECTION_PSD_TOL = 1e-9  # ergodic_projection: the Choi floor of rho is at least -this
+PROJECTION_UNIT_TOL = 1e-9  # ergodic_projection: rho(1) exceeds 1 by at most this
 # the diagonal limits stop at the first increment below `STEP_TOL`, within
 # DOUBLINGS squarings of theta (2^20 - 1 steps); the budget stays far below 40
 # squarings, past which rounding can take a unit-modulus eigenvalue of theta to 0
@@ -60,6 +65,9 @@ STALLED = "iteration stalled off the fixed space"
 EQ_TOL = 1e-8  # the complete isometry and lift_identity
 AGREEMENT_TOL = 1e-7  # lift_fixed_point: the limit and linear-algebra routes agree within this times max(1, ||y||)
 ORTHO_TOL = 1e-9  # _orthonormal_columns keeps singular values above this times the largest
+RANK_TOL = 1e-10  # check_complete_isometry counts singular values above this times max(1, largest) in the rank
+KERNEL_TOL = 1e-10  # kernel_ideal_check: the kernel of Phi on C*(N^phi), cut at this
+IDEAL_GEN_TOL = 1e-10  # kernel_ideal_check: a defect x*x - Phi(x*x) of norm at most this generates nothing
 # property-suite thresholds
 PSD_FLOOR = 1e-9  # kadison_schwarz and monotone_net
 LIMIT_TOL = 1e-7  # limit_vs_mean and factorization
@@ -67,6 +75,7 @@ CHOI_EFFROS_TOL = 1e-9
 VECTOR_TOL = 1e-9
 SQRT_TOL = 1e-8  # vector_bound: psd_sqrt of Phi(x*x) - x*x clamps eigenvalues down to -SQRT_TOL max(1, norm)
 MONO_STEPS = 10  # diagonal steps of the monotone net
+SAMPLE_NORM_FLOOR = 1e-30  # kadison_schwarz scales each sample by 1 / max(its coordinate norm, this)
 S_MAX = 10  # largest power of each generator in the vector bound
 # random combinations of fixed-basis elements that join the basis as ideal generators
 EXTRA_GENERATORS = 8
@@ -136,7 +145,7 @@ def fixed_space(family: SemigroupFamily) -> FixedSpace:
     """Joint fixed space of the generators: intersection of ker(S_i - 1), with the Hermitian basis of `_kernels`."""
     st = family.structure
     cols = _kernels(family)[0]
-    if not np.all(_norms_within(st, np.hstack([g.superop @ cols - cols for g in family.generators]), 1e-8)):
+    if not np.all(_norms_within(st, np.hstack([g.superop @ cols - cols for g in family.generators]), FIXED_CHECK_TOL)):
         raise NoConvergence("fixed-space basis fails the defining equation")
     basis = tuple(element_from_coords(st, cols[:, k]) for k in range(cols.shape[1]))
     return FixedSpace(st, basis, cols)
@@ -213,7 +222,7 @@ def _splitting(family: SemigroupFamily) -> tuple[np.ndarray, dict]:
     g = w.conj().T @ b
     sv = np.linalg.svd(g, compute_uv=False)
     diag["splitting_cond"] = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    if sv[-1] <= 1e-12 * sv[0]:
+    if sv[-1] <= SPLITTING_FLOOR * sv[0]:
         raise NoConvergence("fixed space meets the range of (1 - S); map is not power bounded")
     return b @ np.linalg.solve(g, w.conj().T), diag
 
@@ -264,16 +273,16 @@ def ergodic_projection(family: SemigroupFamily) -> ErgodicProjection:
         "intertwine_right": np.max(norms[1 + family.rank :]),
     }
     for name, value in defects.items():
-        if value > 1e-8:
+        if value > PROJECTION_TOL:
             raise NoConvergence(f"ergodic projection failed {name} check ({value:g})")
     choi_floor = choi_min_eig(rho, st)
-    if choi_floor < -1e-9:
+    if choi_floor < -PROJECTION_PSD_TOL:
         raise NoConvergence(f"ergodic projection is not completely positive (Choi floor {choi_floor:g})")
     one_img = _blocks(st, rho @ identity_element(st).coords()[:, None])
     one_excess = max(
         float(np.linalg.eigvalsh(0.5 * (b + b.conj().swapaxes(-1, -2)))[0, -1]) - 1.0 for b in one_img
     )
-    if one_excess > 1e-9:
+    if one_excess > PROJECTION_UNIT_TOL:
         raise NoConvergence(f"ergodic projection is not contractive (rho(1) exceeds 1 by {one_excess:g})")
     diagnostics = {
         **splitting,
@@ -295,29 +304,38 @@ def _diagonal_limits(family: SemigroupFamily, v: np.ndarray, prefix: str):
     column that never stops within DOUBLINGS doublings, or whose increment
     overflows, diverges; so does a limit that a generator moves, with
     PERIODIC when theta itself moves it and STALLED when only a generator does.
+
+    A column leaves the live set only when it stops or its increment is not
+    finite, and `last` holds each column's final increment.  So a doubling
+    in which no column leaves costs one product, one column-norm pass and
+    two counts; `last`, the limits and the live set are written only on a
+    doubling where some column leaves, and once when the budget runs out.
     Returns the limits and, per column, a Divergent (its message after `prefix`) or None.
     """
     v = np.array(v, dtype=complex)
     st, s = family.structure, v.shape[1]
+    if s == 0:  # no column would ever leave, so the loop would run its whole budget
+        return v, []
     live = np.arange(s)  # the columns still iterating, held compactly in w
     w, last = v, np.full(s, np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(DOUBLINGS):
             nxt = family.theta_square(k) @ w
-            inc = np.linalg.norm(nxt - w, axis=0)
-            last[live] = inc
-            done = inc <= STEP_TOL
-            if done.all():
-                v[:, live] = nxt
-                break
-            if done.any():
+            d = nxt - w
+            # the formula np.linalg.norm(d, axis=0) evaluates for complex d, without its wrapper
+            inc = np.sqrt(np.add.reduce((d.conj() * d).real, axis=0))
+            # inc < inf is false for nan too
+            if np.count_nonzero(inc <= STEP_TOL) or np.count_nonzero(inc < np.inf) < inc.size:
+                last[live] = inc
+                done = inc <= STEP_TOL
                 v[:, live[done]] = nxt[:, done]
-            going = ~done & np.isfinite(inc)
-            if not going.all():
-                live, nxt = live[going], nxt[:, going]
+                going = ~done & (inc < np.inf)
+                live, nxt, inc = live[going], nxt[:, going], inc[going]
                 if live.size == 0:
                     break
             w = nxt
+        else:
+            last[live] = inc
     # a defect within 10 STEP_TOL is within 10 STEP_TOL max(1, ||limit||), so only the
     # columns this screen leaves open take the norms of their limits and exact defect norms
     defects = [g.superop @ v - v for g in family.generators]
@@ -506,7 +524,7 @@ def check_complete_isometry(
         )
     comp_cols = _compressed(instance.emb, fs_ambient.matrix)
     sv = np.linalg.svd(comp_cols, compute_uv=False)
-    rank = int(np.sum(sv > 1e-10 * max(1.0, sv[0])))
+    rank = int(np.sum(sv > RANK_TOL * max(1.0, sv[0])))
     bijective = rank == fs_ambient.dimension == fs_corner.dimension
     choi_floor, unit_excess, left_defect = _left_inverse_residuals(instance, fs_ambient, comp_cols)
     worst = max(-choi_floor, unit_excess, left_defect, 0.0)
@@ -561,13 +579,13 @@ def kernel_ideal_check(
     rho = erg.matrix
     restricted = b.conj().T @ rho @ b
     invariance = float(op_norm(rho @ b - b @ restricted))
-    kernel_cols = nullspace(restricted, 1e-10)
+    kernel_cols = nullspace(restricted, KERNEL_TOL)
     st = cs.structure
     rng = np.random.default_rng(seed)
     x = np.hstack([fs.matrix, _combos(fs.matrix, rng.standard_normal((EXTRA_GENERATORS, 2, fs.dimension)))])
     q = _product(st, _star(st, x), x)
     gens = b.conj().T @ (rho @ q - q)
-    ideal = _orthonormal_columns(gens[:, np.linalg.norm(gens, axis=0) > 1e-10])
+    ideal = _orthonormal_columns(gens[:, np.linalg.norm(gens, axis=0) > IDEAL_GEN_TOL])
     c = cs.dimension
     for _ in range(c + 1):
         k = ideal.shape[1]
@@ -701,7 +719,7 @@ def property_suite(
     x = _coords(
         [(g[:, : n * n] + 1j * g[:, n * n :]).reshape(samples, n, n) / np.sqrt(2.0) for n, g in zip(st.block_dims, parts)]
     )
-    x = x * (1.0 / np.maximum(np.linalg.norm(x, axis=0), 1e-30))
+    x = x * (1.0 / np.maximum(np.linalg.norm(x, axis=0), SAMPLE_NORM_FLOOR))
     xx = _product(st, _star(st, x), x)
     # every S_i x and S_i(x*x) from one product, each laid out generator by generator
     images = np.split(_apply_all(family.superops, np.hstack([x, xx])), 2, axis=2)

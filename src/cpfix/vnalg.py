@@ -26,6 +26,8 @@ from .matcore import as_matrix, op_norm
 PROJ_TOL = 1e-9  # validate_projection accepts a block as it is within this of p = p* = p^2
 SNAP_TOL = 1e-6  # and else rounds eigenvalues within this of {0, 1}
 SCREEN_MARGIN = 1e-9  # _norms_within fails a column whose largest coordinate exceeds (1 + this) times its bound
+RANGE_TOL = 1e-8  # _range_basis drops a Gram-Schmidt remainder of norm at most this
+ISOMETRY_TOL = 1e-9  # corner: u*u = 1 and uu* = p within this, for the range basis u of each block of p
 
 
 @dataclass(frozen=True)
@@ -202,7 +204,7 @@ def _range_basis(b: np.ndarray, rank: int) -> np.ndarray:
         for q in cols:
             v -= q * (q.conj() @ v)
         nv = np.linalg.norm(v)
-        if nv > 1e-8:
+        if nv > RANGE_TOL:
             cols.append(v / nv)
         if len(cols) == rank:
             break
@@ -220,7 +222,7 @@ def corner(structure: BlockStructure, p: AlgebraElement) -> CornerEmbedding:
         if r == 0:
             continue
         u = _range_basis(b, r)
-        if op_norm(u.conj().T @ u - np.eye(r)) > 1e-9 or op_norm(u @ u.conj().T - b) > 1e-9:
+        if op_norm(u.conj().T @ u - np.eye(r)) > ISOMETRY_TOL or op_norm(u @ u.conj().T - b) > ISOMETRY_TOL:
             raise NotProjection("projection block failed isometry reconstruction")
         dims.append(r)
         isoms.append(u)

@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 DILATION = ("dilation.py", ("tests/test_dilation.py",))
 FIXPOINT = ("fixpoint.py", ("tests/test_fixpoint.py", "tests/test_golden.py"))
+LIMITS = ("fixpoint.py", ("tests/test_fixpoint.py",))
 VNALG = ("vnalg.py", ("tests/test_vnalg.py",))
 FRAME = ("vnalg.py", ("tests/test_vnalg.py", "tests/test_fixpoint.py"))
 THETA = ("cpsemi.py", ("tests/test_cpsemi.py", "tests/test_dilation.py", "tests/test_fixpoint.py"))
@@ -109,6 +110,8 @@ MUTANTS = {
         [("    if w.shape[1] != r:\n        raise NoConvergence(", "    if False:\n        raise NoConvergence(")],
     ),
     "limit-check-screen-only": (FIXPOINT, [("    if not on.all():\n", "    if False:\n")]),
+    "limit-loop-ends-at-first-stop": (LIMITS, [("                if live.size == 0:\n", "                if done.any():\n")]),
+    "limit-loop-keeps-overflowing-columns": (LIMITS, [("going = ~done & (inc < np.inf)", "going = ~done")]),
     "cstar-lifts-ignore-basis-errors": (
         FIXPOINT,
         [("return b, z, all(err is None for err in errors)", "return b, z, True")],

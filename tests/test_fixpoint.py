@@ -463,6 +463,57 @@ def test_norm_screen_leaves_moved_limits_unchanged(angle):
     assert {str(e) for e in errors if e is not None} <= {fixpoint.STALLED}
 
 
+def slow_gap_families(seed=0):
+    """Leaky damping at the 12 gaps 1e-1 .. 5e-5 and damping at every second gap, as the slow_gap bench builds them."""
+    rng = np.random.default_rng(seed)
+    gaps = np.geomspace(1e-1, 5e-5, 12)
+    leaky = [leaky_damping_family(np.sqrt(1.0 - gap), np.sqrt(rng.uniform(0.25, 0.75) * gap)) for gap in gaps]
+    return leaky + [damping_family(gap) for gap in gaps[::2]]
+
+
+def stopping_doublings(family, v):
+    """The doubling at which each column's increment first reaches STEP_TOL, or None within the budget."""
+    first = [None] * v.shape[1]
+    w = np.array(v, dtype=complex)
+    for k in range(fixpoint.DOUBLINGS):
+        nxt = family.theta_square(k) @ w
+        for j in np.flatnonzero(np.linalg.norm(nxt - w, axis=0) <= fixpoint.STEP_TOL):
+            first[j] = k if first[j] is None else first[j]
+        w = nxt
+    return first
+
+
+def test_diagonal_limits_match_the_oracle_on_every_slow_gap_family():
+    # E00, E11, E01 and a converging combination of all three
+    v = np.stack([unit(0, 0).coords(), unit(1, 1).coords(), unit(0, 1).coords()], axis=1)
+    v = np.hstack([v, v @ np.array([[0.6 - 0.2j], [-1.3], [0.4 + 0.9j]])])
+    diverged = 0
+    for family in slow_gap_families():
+        # the diagonal and the off-diagonal columns stop at different doublings
+        assert len(set(stopping_doublings(family, v))) == 2
+        diverged += sum(err is not None for err in assert_same_limits(family, v))
+    # at the smallest leaky gap E01 and the combination outlast the budget beside two that stop
+    assert diverged == 2
+
+
+def test_diagonal_limits_match_the_oracle_when_one_column_overflows_and_one_stops():
+    # an unchecked family on C + C with theta = (4, 1/4): E0 overflows within ten doublings, E1 stops
+    st = BlockStructure((1, 1))
+    one = np.eye(1, dtype=complex)
+    fam = SemigroupFamily(st, (cp_map(st, st, {(0, 0): [2.0 * one], (1, 1): [0.5 * one]}),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        errors = assert_same_limits(fam, np.eye(2, dtype=complex))
+    assert str(errors[0]).endswith("(last increment inf)") and errors[1] is None
+
+
+def test_diagonal_limits_match_the_oracle_when_one_column_never_stops():
+    # the rotation fixes E00 at once and moves E01 at every doubling of the budget
+    fam = rotation_family(np.pi / 3)
+    errors = assert_same_limits(fam, np.stack([unit(0, 1).coords(), unit(0, 0).coords()], axis=1))
+    assert str(errors[0]).startswith("no convergence within 1048575 steps") and errors[1] is None
+
+
 def test_phi_limit_agrees_with_mean_projection():
     fam = leaky_damping_family()
     erg = ergodic_projection(fam)
