@@ -514,6 +514,13 @@ def test_diagonal_limits_match_the_oracle_when_one_column_never_stops():
     assert str(errors[0]).startswith("no convergence within 1048575 steps") and errors[1] is None
 
 
+def test_diagonal_limits_of_an_empty_block_square_nothing():
+    # a trivial C*(N^phi) gives _cstar_lifts a block of no columns, which must not run the whole budget
+    fam = rotation_family(np.pi / 3)
+    assert assert_same_limits(fam, np.zeros((4, 0), dtype=complex)) == []
+    assert len(vars(fam).get("_theta_squares", [fam.theta])) == 1
+
+
 def test_phi_limit_agrees_with_mean_projection():
     fam = leaky_damping_family()
     erg = ergodic_projection(fam)
