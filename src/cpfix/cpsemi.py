@@ -164,8 +164,13 @@ def to_superoperator(phi: CPMap) -> np.ndarray:
     s = np.zeros((d, d), dtype=complex)
     slices = st.coord_slices()
     for (j, i), ops in phi.kraus:
-        for a in ops:
-            s[slices[j], slices[i]] += np.kron(a, a.conj())
+        a = np.stack(ops)
+        k, nj, ni = a.shape
+        # np.kron(a_k, a_k.conj()) for every operator of the group, as one broadcast product; adding the
+        # terms one by one in Kraus order keeps the block bitwise that of one np.kron per operator
+        krons = (a[:, :, None, :, None] * a.conj()[:, None, :, None, :]).reshape(k, nj * nj, ni * ni)
+        for term in krons:
+            s[slices[j], slices[i]] += term
     return s
 
 

@@ -108,10 +108,12 @@ def check_minimality(alpha: SemigroupFamily, p: AlgebraElement) -> MinimalityRes
     rank = round(sum(np.trace(b).real for b in q.blocks))
     defect = q.coords()[:, None]
     for n in range(rank + 1):
-        if _norms_within(st, defect, 0.5)[0]:
-            return MinimalityResult(Minimality.MINIMAL, n, norm(defect))
         nxt = theta @ defect
-        if _norms_within(st, nxt - defect, 0.5)[0]:
+        # a defect within 1/2 is MINIMAL at step n, even when its increment is within 1/2 as well
+        small = _norms_within(st, np.hstack([defect, nxt - defect]), 0.5)
+        if small[0]:
+            return MinimalityResult(Minimality.MINIMAL, n, norm(defect))
+        if small[1]:
             return MinimalityResult(Minimality.NON_MINIMAL, n + 1, norm(nxt), limit=element_from_coords(st, nxt))
         defect = nxt
     raise CpfixError(

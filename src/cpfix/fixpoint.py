@@ -33,7 +33,6 @@ from .vnalg import (
     _compressed,
     _coords,
     _frame,
-    _frame_entries,
     _injected,
     _norms,
     _norms_within,
@@ -106,19 +105,15 @@ def _kernels(family: SemigroupFamily) -> tuple[np.ndarray, np.ndarray]:
     """The fixed basis B, spanning the joint ker(S_i - 1), and W, spanning the joint ker(S_i - 1)*.
 
     Kraus maps preserve adjoints, so T*(S_1 - 1)T is real in the Hermitian frame T of `_frame`.
-    Each column of T has at most two nonzeros, so T*(S_1 T) is formed by gathers (`_frame_entries`).
     One real SVD of it, cut at FIXED_TOL, gives both of its kernels; T maps the right one to a
     Hermitian orthonormal B and the left one to W.  Every further generator commutes with S_1, so
     it maps both kernels into themselves, and its kernel within each is that of the r x r block
     B*(S_i - 1)B or W*(S_i - 1)*W, which is real as well.
     """
     t = _frame(family.structure)
-    rows, vals = _frame_entries(family.structure)
     first, *rest = family.generators
     s = first.superop
-    s_t = s[:, rows[0]] * vals[0] + s[:, rows[1]] * vals[1]
-    tst = vals[0].conj()[:, None] * s_t[rows[0]] + vals[1].conj()[:, None] * s_t[rows[1]]
-    w, b = nullspace_pair(tst.real - np.eye(len(s)), FIXED_TOL)
+    w, b = nullspace_pair((t.conj().T @ (s @ t)).real - np.eye(len(s)), FIXED_TOL)
     b, w = t @ b, t @ w
     for gen in rest:
         s = gen.superop
@@ -132,12 +127,16 @@ class FixedSpace:
     """Orthonormal (trace inner product) Hermitian basis of a fixed space."""
 
     structure: BlockStructure
-    basis: tuple
     matrix: np.ndarray  # coord_dim x dimension, columns = basis coords
+
+    @functools.cached_property
+    def basis(self) -> tuple:
+        """The columns of `matrix` as elements, built on first read."""
+        return tuple(element_from_coords(self.structure, col) for col in self.matrix.T)
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return self.matrix.shape[1]
 
 
 @_cached_on_argument
@@ -147,8 +146,7 @@ def fixed_space(family: SemigroupFamily) -> FixedSpace:
     cols = _kernels(family)[0]
     if not np.all(_norms_within(st, np.hstack([g.superop @ cols - cols for g in family.generators]), FIXED_CHECK_TOL)):
         raise NoConvergence("fixed-space basis fails the defining equation")
-    basis = tuple(element_from_coords(st, cols[:, k]) for k in range(cols.shape[1]))
-    return FixedSpace(st, basis, cols)
+    return FixedSpace(st, cols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +207,9 @@ def _splitting(family: SemigroupFamily) -> tuple[np.ndarray, dict]:
     W spans the joint kernel of the (S_i - 1)*.  The generators
     commute and are power bounded, so the product of their Cesaro limits
     projects onto the joint fixed space along sum_i ran(1 - S_i), which is
-    (intersection of ker (S_i - 1)*)^perp: that product is rho.
+    (intersection of ker (S_i - 1)*)^perp: that product is rho.  One SVD
+    W* B = U diag(σ) V* gives rho = B V diag(1/σ) U* W*, and its σ give
+    `splitting_cond` and the SPLITTING_FLOOR test.
     """
     b = fixed_space(family).matrix
     w = _kernels(family)[1]
@@ -219,12 +219,11 @@ def _splitting(family: SemigroupFamily) -> tuple[np.ndarray, dict]:
         raise NoConvergence(f"fixed space has dimension {r} but its dual {w.shape[1]}; family is not power bounded")
     if r == 0:
         return np.zeros((b.shape[0], b.shape[0]), dtype=complex), diag
-    g = w.conj().T @ b
-    sv = np.linalg.svd(g, compute_uv=False)
+    u, sv, vh = np.linalg.svd(w.conj().T @ b)
     diag["splitting_cond"] = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     if sv[-1] <= SPLITTING_FLOOR * sv[0]:
         raise NoConvergence("fixed space meets the range of (1 - S); map is not power bounded")
-    return b @ np.linalg.solve(g, w.conj().T), diag
+    return (b @ vh.conj().T / sv) @ (w @ u).conj().T, diag
 
 
 def _cesaro_check(family: SemigroupFamily, rho: np.ndarray) -> dict:

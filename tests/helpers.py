@@ -1,5 +1,7 @@
 """Constructors that only the tests use: random elements and matrices, the dense embedding, the
-identity map and model families, and the linear-algebra route of lift_fixed_point."""
+identity map and model families, the linear-algebra route of lift_fixed_point, and a call counter."""
+
+import sys
 
 import numpy as np
 
@@ -63,3 +65,22 @@ def loose_dual_kernels(monkeypatch):
         return kernels(family)[0], w
 
     return loose
+
+
+def count_calls(monkeypatch, names):
+    """Count calls of cpfix names, rebinding each in every cpfix namespace that holds it."""
+    counts = dict.fromkeys(names, 0)
+    spaces = [m for key, m in sys.modules.items() if key == "cpfix" or key.startswith("cpfix.")]
+    for name in names:
+        module, attr = name.split(".")
+        original = getattr(sys.modules[f"cpfix.{module}"], attr)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for space in spaces:
+            for key, value in list(vars(space).items()):
+                if value is original:
+                    monkeypatch.setattr(space, key, counted)
+    return counts

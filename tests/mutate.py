@@ -48,10 +48,7 @@ MUTANTS = {
     "minimality-loop-bound-r": (DILATION, [("for n in range(rank + 1):", "for n in range(rank):")]),
     "minimality-threshold-1e-10": (
         DILATION,
-        [
-            ("if _norms_within(st, defect, 0.5)[0]:", "if _norms_within(st, defect, 1e-10)[0]:"),
-            ("if _norms_within(st, nxt - defect, 0.5)[0]:", "if _norms_within(st, nxt - defect, 1e-10)[0]:"),
-        ],
+        [("_norms_within(st, np.hstack([defect, nxt - defect]), 0.5)", "_norms_within(st, np.hstack([defect, nxt - defect]), 1e-10)")],
     ),
     "endomorphism-contractive-guard-dropped": (
         ENDOMORPHISM,
@@ -109,6 +106,7 @@ MUTANTS = {
         FIXPOINT,
         [("    if w.shape[1] != r:\n        raise NoConvergence(", "    if False:\n        raise NoConvergence(")],
     ),
+    "splitting-unscaled": (FIXPOINT, [("(b @ vh.conj().T / sv)", "(b @ vh.conj().T)")]),
     "limit-check-screen-only": (FIXPOINT, [("    if not on.all():\n", "    if False:\n")]),
     "limit-loop-ends-at-first-stop": (LIMITS, [("                if live.size == 0:\n", "                if done.any():\n")]),
     "limit-loop-keeps-overflowing-columns": (LIMITS, [("going = ~done & (inc < np.inf)", "going = ~done")]),

@@ -1,7 +1,6 @@
 import argparse
 import copy
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from cpfix.cli import (
     write_report,
 )
 
-from helpers import loose_dual_kernels
+from helpers import count_calls, loose_dual_kernels
 
 ALL_FAMILIES = ["tail-shift", "rotation", "damping", "leaky-damping", "random-mixture", "random-dilation"]
 
@@ -184,25 +183,6 @@ def test_levels_flag_is_gone(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unrecognized arguments: --levels 3" in err
     assert "Traceback" not in err
-
-
-def count_calls(monkeypatch, names):
-    """Count calls of cpfix names, rebinding each in every cpfix namespace that holds it."""
-    counts = dict.fromkeys(names, 0)
-    spaces = [m for key, m in sys.modules.items() if key == "cpfix" or key.startswith("cpfix.")]
-    for name in names:
-        module, attr = name.split(".")
-        original = getattr(sys.modules[f"cpfix.{module}"], attr)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        for space in spaces:
-            for key, value in list(vars(space).items()):
-                if value is original:
-                    monkeypatch.setattr(space, key, counted)
-    return counts
 
 
 def test_derived_objects_built_once_per_family(tmp_path, monkeypatch):

@@ -240,6 +240,24 @@ def test_superoperator_identity_and_rotation():
     assert op_norm(s - expected) < 1e-14
 
 
+def kron_superoperator(phi):
+    """Reference: one np.kron(a, a.conj()) per Kraus operator, added to its block in Kraus order."""
+    st = phi.source
+    s = np.zeros((st.coord_dim, st.coord_dim), dtype=complex)
+    slices = st.coord_slices()
+    for (j, i), ops in phi.kraus:
+        for a in ops:
+            s[slices[j], slices[i]] += np.kron(a, a.conj())
+    return s
+
+
+def test_superoperator_equals_the_kron_loop_bitwise():
+    bank = endomorphism_map_bank()
+    assert len(bank) == 247
+    for name, phi in bank:
+        assert np.array_equal(to_superoperator(phi), kron_superoperator(phi)), name
+
+
 def test_superoperator_consistency_with_apply():
     rng = np.random.default_rng(6)
     fam, _ = mixture_family_with_data(11, dims=(2, 3), terms=2, d=1)

@@ -57,7 +57,16 @@ from cpfix.fixpoint import (
     span_distance,
 )
 
-from helpers import embed, identity_family, identity_map, linear_lift, loose_dual_kernels, mixture_family, random_element
+from helpers import (
+    count_calls,
+    embed,
+    identity_family,
+    identity_map,
+    linear_lift,
+    loose_dual_kernels,
+    mixture_family,
+    random_element,
+)
 
 M2 = BlockStructure((2,))
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -112,6 +121,25 @@ def test_fixed_space_rejects_a_basis_a_generator_moves(monkeypatch):
         fixed_space(fam)
 
 
+def test_fixed_basis_is_built_on_first_read(monkeypatch):
+    halving = make_family([cp_map(M2, M2, {(0, 0): [np.sqrt(0.5) * np.eye(2)]})])  # fixes only 0
+    families = [mixture_family(3, dims=(2, 3), terms=3, d=2), damping_family(0.5), halving]
+    counts = count_calls(monkeypatch, ("vnalg.AlgebraElement",))
+    spaces = [fixed_space(fam) for fam in families]
+    assert counts["vnalg.AlgebraElement"] == 0
+    assert [fs.dimension for fs in spaces] == [fs.matrix.shape[1] for fs in spaces]
+    assert spaces[-1].dimension == 0
+    for fs in spaces:
+        before = counts["vnalg.AlgebraElement"]
+        basis = fs.basis
+        assert counts["vnalg.AlgebraElement"] - before == fs.dimension == len(basis)
+        assert fs.basis is basis
+        for b, col in zip(basis, fs.matrix.T):
+            want = element_from_coords(fs.structure, col)
+            assert all(np.array_equal(x, y) for x, y in zip(b.blocks, want.blocks))
+    assert spaces[-1].basis == ()
+
+
 def test_fixed_space_adjoint_closed():
     fs = fixed_space(mixture_family(3, dims=(2, 3), terms=3))
     for b in fs.basis:
@@ -130,7 +158,7 @@ def test_cstar_closure_trivial_cases():
 def test_cstar_closure_generates_identity():
     # span{X} is not an algebra; X^2 = 1 forces the identity in
     x = AlgebraElement(M2, (PAULI_X / np.sqrt(2.0),))
-    fs = FixedSpace(M2, (x,), x.coords()[:, None])
+    fs = FixedSpace(M2, x.coords()[:, None])
     cs = cstar_closure(fs)
     assert cs.dimension == 2
     assert cs.is_unital
@@ -315,18 +343,20 @@ def stacked_kernels(family):
     return hermitian_basis(family.structure, b), w
 
 
-def test_kernels_match_the_stacked_route():
-    """One real SVD in the Hermitian frame and the r x r restrictions give the stacked route's kernels.
-
-    The families: build_random_instance seeds 0-39 x d = 1, 2 (alpha and phi), mixtures with
-    d = 1, 2, the named models, and leaky dampings, dampings and rotations at gaps 1e-1 ... 1e-9.
-    """
+def kernel_bank():
+    """build_random_instance seeds 0-39 x d = 1, 2 (alpha and phi), mixtures with d = 1, 2, the named
+    models, and leaky dampings, dampings and rotations at gaps 1e-1 ... 1e-9."""
     instances = [build_random_instance(seed, d=d) for seed in range(40) for d in (1, 2)]
     families = [f for inst in instances for f in (inst.alpha, inst.phi)]
     families += [mixture_family(seed, dims=(2, 3), terms=3, d=d) for seed in range(10) for d in (1, 2)]
     families += [damping_family(0.5), rotation_family(), leaky_damping_family(), identity_family(M2, d=2)]
     families += [fam for k in range(1, 10) for fam in gap_models(10.0**-k)]
-    for fam in families:
+    return families
+
+
+def test_kernels_match_the_stacked_route():
+    """One real SVD in the Hermitian frame and the r x r restrictions give the stacked route's kernels."""
+    for fam in kernel_bank():
         st = fam.structure
         b, w = fixpoint._kernels(fam)
         ref_b, ref_w = stacked_kernels(fam)
@@ -337,6 +367,22 @@ def test_kernels_match_the_stacked_route():
         assert np.max(np.abs(_star(st, b) - b), initial=0.0) <= 1e-12
         assert np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1])), initial=0.0) <= 1e-12
         assert fixed_space(fam).matrix is b
+
+
+def solved_splitting(family):
+    """Reference rho = B (W* B)^{-1} W* by np.linalg.solve, and the singular value ratio of W* B."""
+    b, w = fixpoint._kernels(family)
+    g = w.conj().T @ b
+    sv = np.linalg.svd(g, compute_uv=False)
+    return b @ np.linalg.solve(g, w.conj().T), sv[0] / sv[-1]
+
+
+def test_splitting_svd_route_matches_the_solve():
+    for fam in kernel_bank():
+        rho, diag = fixpoint._splitting(fam)
+        want, cond = solved_splitting(fam)
+        assert op_norm(rho - want) <= 1e-12
+        assert abs(diag["splitting_cond"] - cond) <= 1e-12 * cond
 
 
 def test_splitting_dimension_mismatch_is_no_convergence(monkeypatch):
@@ -973,7 +1019,7 @@ def projector(mat):
 def test_cstar_closure_matches_looped_reference():
     x = AlgebraElement(M2, (PAULI_X / np.sqrt(2.0),))  # generates the identity
     e00 = unit(0, 0)  # generates a non-unital algebra
-    spans = [FixedSpace(M2, (y,), y.coords()[:, None]) for y in (x, e00)]
+    spans = [FixedSpace(M2, y.coords()[:, None]) for y in (x, e00)]
     grown, unital = [], []
     for fs in spans + [fixed_space(family) for family in oracle_families()]:
         cs = cstar_closure(fs)
