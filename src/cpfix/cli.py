@@ -293,9 +293,9 @@ def print_report(rep: dict, stream=None) -> None:
 def write_report(rep: dict, out_path: str) -> None:
     rep = dict(rep)
     rep["wall_time_s"] = time.perf_counter() - rep.pop("_t0", time.perf_counter())
+    text = json.dumps(rep, indent=2, sort_keys=True) + "\n"
     with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(rep, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

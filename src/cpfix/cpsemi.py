@@ -19,7 +19,7 @@ from functools import cached_property, wraps
 import numpy as np
 
 from .errors import CpfixError, InvalidFamily, ShapeMismatch
-from .matcore import as_matrix, op_norm, random_unitary
+from .matcore import as_matrix, hermitian_floor, op_norm, random_unitary
 from .vnalg import AlgebraElement, BlockStructure, _norms, _product, _star, identity_element
 
 # validation bounds the commutators, the contraction and unit defects and, for
@@ -182,12 +182,13 @@ def choi_min_eig(matrix: np.ndarray, structure: BlockStructure, source: BlockStr
     a target block j and a source block i.
     """
     source = structure if source is None else source
-    worst = np.inf
-    for nj, rows in zip(structure.block_dims, structure.coord_slices()):
-        for ni, cols in zip(source.block_dims, source.coord_slices()):
-            c = matrix[rows, cols].reshape(nj, nj, ni, ni).transpose(2, 0, 3, 1).reshape(ni * nj, ni * nj)
-            worst = min(worst, float(np.linalg.eigvalsh(0.5 * (c + c.conj().T))[0]))
-    return worst
+    return hermitian_floor(
+        *(
+            matrix[rows, cols].reshape(nj, nj, ni, ni).transpose(2, 0, 3, 1).reshape(ni * nj, ni * nj)
+            for nj, rows in zip(structure.block_dims, structure.coord_slices())
+            for ni, cols in zip(source.block_dims, source.coord_slices())
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -208,16 +209,9 @@ def validate_cp(phi: CPMap) -> CPReport:
     one = identity_element(phi.source)
     img = apply(phi, one)
     unital_defect = (img - identity_element(phi.target)).norm()
-    floor = 0.0
-    contractive = True
-    for n, b in zip(phi.target.block_dims, img.blocks):
-        w = np.linalg.eigvalsh(0.5 * ((np.eye(n) - b) + (np.eye(n) - b).conj().T))
-        lo = float(w[0]) if w.size else 0.0
-        floor = min(floor, lo)
-        if lo < -VALIDATION_TOL:
-            contractive = False
+    floor = min(0.0, hermitian_floor(*(np.eye(n) - b for n, b in zip(phi.target.block_dims, img.blocks))))
     return CPReport(
-        is_contractive=contractive,
+        is_contractive=bool(floor >= -VALIDATION_TOL),
         is_unital=bool(unital_defect <= VALIDATION_TOL),
         unital_defect=float(unital_defect),
         contractive_floor=float(floor),

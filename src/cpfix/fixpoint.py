@@ -24,7 +24,7 @@ from .errors import (
     NotFixed,
     NotInCStar,
 )
-from .matcore import nullspace, nullspace_pair, op_norm, psd_sqrt
+from .matcore import hermitian_floor, nullspace, nullspace_pair, op_norm, psd_sqrt
 from .vnalg import (
     AlgebraElement,
     BlockStructure,
@@ -144,7 +144,7 @@ def fixed_space(family: SemigroupFamily) -> FixedSpace:
     """Joint fixed space of the generators: intersection of ker(S_i - 1), with the Hermitian basis of `_kernels`."""
     st = family.structure
     cols = _kernels(family)[0]
-    if not np.all(_norms_within(st, np.hstack([g.superop @ cols - cols for g in family.generators]), FIXED_CHECK_TOL)):
+    if not np.all(_norms_within(st, _side_by_side(_apply_all(family.superops, cols) - cols), FIXED_CHECK_TOL)):
         raise NoConvergence("fixed-space basis fails the defining equation")
     return FixedSpace(st, cols)
 
@@ -186,11 +186,23 @@ def cstar_closure(fs: FixedSpace) -> CStarSpan:
 
 @dataclass(frozen=True, eq=False)
 class ErgodicProjection:
-    """The mean ergodic projection rho with range N^phi, as a superoperator."""
+    """The mean ergodic projection rho with range N^phi, as a superoperator.
+
+    `splitting` and `checks` hold the numbers that ergodic_projection
+    decided on.  No verdict reads the Cesaro comparison, so `diagnostics`
+    builds it from the generators' stack `superops` on first read.
+    """
 
     structure: BlockStructure
     matrix: np.ndarray
-    diagnostics: dict
+    superops: np.ndarray
+    splitting: dict
+    checks: dict
+
+    @functools.cached_property
+    def diagnostics(self) -> dict:
+        """The splitting, the Cesaro comparison of `_cesaro_check` and the checks, built once."""
+        return {**self.splitting, **_cesaro_check(self.superops, self.matrix), **self.checks}
 
     def apply(self, x: AlgebraElement) -> AlgebraElement:
         return element_from_coords(self.structure, self.matrix @ x.coords())
@@ -226,7 +238,7 @@ def _splitting(family: SemigroupFamily) -> tuple[np.ndarray, dict]:
     return (b @ vh.conj().T / sv) @ (w @ u).conj().T, diag
 
 
-def _cesaro_check(family: SemigroupFamily, rho: np.ndarray) -> dict:
+def _cesaro_check(superops: np.ndarray, rho: np.ndarray) -> dict:
     """The product of each generator's doubling Cesaro average A_{2N} = (A_N + S^N A_N)/2, against rho.
 
     The averages of all generators double as one (d, D, D) stack, each to
@@ -234,7 +246,7 @@ def _cesaro_check(family: SemigroupFamily, rho: np.ndarray) -> dict:
     largest last step among the generators.
     """
     steps = CESARO_CAP.bit_length() - 1
-    pw = family.superops
+    pw = superops
     avg = np.broadcast_to(np.eye(rho.shape[0], dtype=complex), pw.shape)
     for k in range(steps):
         prev, avg = avg, 0.5 * (avg + pw @ avg)
@@ -253,7 +265,7 @@ def ergodic_projection(family: SemigroupFamily) -> ErgodicProjection:
     """rho, the mean ergodic projection onto the joint fixed space, from `_splitting`.
 
     rho equals the product of the per-generator Cesaro limits, which the
-    diagnostics compare with the product of their doubling averages.  The
+    diagnostics compare, on first read, with the product of their doubling averages.  The
     generators must be contractive, and rho must be idempotent, fixed by
     every generator on either side, completely positive and contractive.
     """
@@ -283,14 +295,12 @@ def ergodic_projection(family: SemigroupFamily) -> ErgodicProjection:
     )
     if one_excess > PROJECTION_UNIT_TOL:
         raise NoConvergence(f"ergodic projection is not contractive (rho(1) exceeds 1 by {one_excess:g})")
-    diagnostics = {
-        **splitting,
-        **_cesaro_check(family, rho),
+    checks = {
         "defects": {k: float(v) for k, v in defects.items()},
         "choi_floor": float(choi_floor),
         "one_excess": float(one_excess),
     }
-    return ErgodicProjection(st, rho, diagnostics)
+    return ErgodicProjection(st, rho, s, splitting, checks)
 
 
 def _diagonal_limits(family: SemigroupFamily, v: np.ndarray, prefix: str):
@@ -607,13 +617,8 @@ def kernel_ideal_check(
 
 
 def _hermitian_floor(structure: BlockStructure, vs) -> float:
-    """Smallest eigenvalue of the Hermitian parts of every element in the coordinate blocks vs.
-
-    One stacked eigvalsh per block size, which solves each matrix as its own call would.
-    """
-    blocks = _blocks(structure, np.hstack(vs))
-    stacks = [np.concatenate([b for b in blocks if b.shape[-1] == n]) for n in set(structure.block_dims)]
-    return min(float(np.min(np.linalg.eigvalsh(0.5 * (b + b.conj().swapaxes(-1, -2))), initial=np.inf)) for b in stacks)
+    """Smallest eigenvalue of the Hermitian parts of every element in the coordinate blocks vs, from `hermitian_floor`."""
+    return hermitian_floor(*_blocks(structure, np.hstack(vs)))
 
 
 def _apply_all(superops: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -15,6 +15,13 @@ import numpy as np
 from .errors import NoConvergence, NotHermitian, NotPSD, ShapeMismatch
 
 HERMITIAN_TOL = 1e-9  # eig_hermitian and psd_sqrt reject ||A - A*|| above this times max(1, ||A||)
+# hermitian_floor: a stack of fewer matrices goes straight to eigvalsh; a larger one first
+# solves the FLOOR_PROBES matrices with the smallest diagonal entries, and FLOOR_MARGIN
+# scales the margin of its Cholesky screen (see `_floor_margin`)
+FLOOR_SCREEN_MIN = 64
+FLOOR_PROBES = 4
+FLOOR_MARGIN = 8.0
+EPS = np.finfo(float).eps
 
 
 def as_matrix(a, what: str = "matrix", dtype=complex) -> np.ndarray:
@@ -155,6 +162,90 @@ def _psd_sqrt_stack(a: np.ndarray, tol: float) -> np.ndarray:
         raise NotPSD(f"min eigenvalue {w[k][0]:g} below -{psd_bound[k]:g}")
     b = (u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ u.conj().swapaxes(-1, -2)
     return 0.5 * (b + b.conj().swapaxes(-1, -2))
+
+
+def hermitian_floor(*stacks) -> float:
+    """Smallest eigenvalue of the Hermitian parts (A + A*)/2 of every matrix in the stacks.
+
+    Each stack has shape (..., n, n); a 2-d matrix is a stack of one.  The
+    matrices of one size are taken as one stack H, sizes in the order they
+    first appear, and the result is bitwise floor = np.min(np.linalg.eigvalsh(H),
+    initial=floor) folded over the sizes from floor = inf: inf when there is
+    no matrix.  eigvalsh solves only the matrices that `_screened_floor`
+    cannot rule out.
+    """
+    by_size: dict = {}
+    for a in stacks:
+        a = np.asarray(a)
+        by_size.setdefault(a.shape[-2:], []).append(a.reshape(int(np.prod(a.shape[:-2])), *a.shape[-2:]))
+    floor = np.inf
+    for parts in by_size.values():
+        a = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        floor = _screened_floor(0.5 * (a + a.conj().swapaxes(-1, -2)), floor)
+    return float(floor)
+
+
+def _screened_floor(h: np.ndarray, floor: float) -> float:
+    """np.min of `floor` and the eigenvalues that eigvalsh computes for the (m, n, n) Hermitian stack h.
+
+    Below FLOOR_SCREEN_MIN matrices, or with a non-finite entry, one eigvalsh
+    of the whole stack decides.  Otherwise eigvalsh first solves the
+    FLOOR_PROBES matrices with the smallest diagonal entries (a diagonal
+    entry bounds the smallest eigenvalue from above), whose minimum, or
+    `floor` if lower, is the candidate t.  A matrix on
+    which the unpivoted Cholesky factorization of H - (t + delta) I meets
+    only positive pivots, with delta from `_floor_margin`, has a computed
+    smallest eigenvalue above t, so it cannot hold the minimum; eigvalsh
+    solves the rest, each as its own call would.  The eigenvalues of the
+    matrices ruled out stay inf in the (m, n) array that np.min reduces:
+    every one of them exceeds the minimum, so each comparison of the
+    reduction that can pick the result, down to which of 0.0 and -0.0 it
+    picks, sees the same values in the same places as on the full array.
+    """
+    m, n = h.shape[0], h.shape[-1]
+    if m < FLOOR_SCREEN_MIN or not np.isfinite(h).all():
+        return np.min(np.linalg.eigvalsh(h), initial=floor)
+    w = np.full((m, n), np.inf)
+    probes = np.argpartition(h.diagonal(axis1=1, axis2=2).real.min(axis=1), FLOOR_PROBES)[:FLOOR_PROBES]
+    w[probes] = np.linalg.eigvalsh(h[probes])
+    t = np.min(w[probes], initial=floor)
+    a = h - (t + _floor_margin(h, t))[:, None, None] * np.eye(n)
+    live = np.arange(m)  # the matrices whose pivots have all been positive so far
+    for k in range(n):
+        pivot = a[:, 0, 0].real
+        keep = pivot > 0
+        if not keep.all():
+            live, a, pivot = live[keep], a[keep], pivot[keep]
+        if k + 1 == n or live.size == 0:
+            break
+        col = a[:, 1:, 0]
+        a = a[:, 1:, 1:] - (col / pivot[:, None])[:, :, None] * col.conj()[:, None, :]
+    rest = np.ones(m, dtype=bool)
+    rest[live] = False
+    rest[probes] = False
+    w[rest] = np.linalg.eigvalsh(h[rest])
+    return np.min(w, initial=floor)
+
+
+def _floor_margin(h: np.ndarray, t: float) -> np.ndarray:
+    """delta = FLOOR_MARGIN (n + 1)^2 eps (||H||_F + |t|) for every matrix of the (m, n, n) stack h.
+
+    Cholesky: when the factorization of A = H - sI meets only positive
+    pivots, its computed factor R has R*R = A + E with |E| <= gamma_{n+1}
+    |R*| |R| (Higham, Accuracy and Stability, Thm 10.3), so ||E|| <=
+    gamma_{n+1} tr(R*R) <= (n + 1) eps n ||A + E||, about 2 n (n + 1) eps
+    (||H||_F + |s|) once complex arithmetic doubles gamma; forming A adds
+    eps |s|.  R*R is PSD, so lambda_min(H) >= s - ||E||.  eigvalsh:
+    Householder tridiagonalization and the tridiagonal solver are normwise
+    backward stable, so the computed smallest eigenvalue is within about
+    n^2 eps ||H||_F of lambda_min(H) (Weyl).  Together the two stay below
+    (3 n^2 + 2 n + 1) eps (||H||_F + |s|) <= 4 (n + 1)^2 eps (||H||_F + |s|),
+    and FLOOR_MARGIN = 8 doubles that, which also covers |s| <= |t| + delta;
+    so with s = t + delta a matrix that passes computes a smallest
+    eigenvalue above t.
+    """
+    n = h.shape[-1]
+    return FLOOR_MARGIN * (n + 1) ** 2 * EPS * (np.linalg.norm(h, axis=(1, 2)) + abs(t))
 
 
 def is_psd(a: np.ndarray, tol: float) -> bool:

@@ -46,7 +46,7 @@ class BlockStructure:
     def num_blocks(self) -> int:
         return len(self.block_dims)
 
-    @property
+    @functools.cached_property
     def coord_dim(self) -> int:
         """Dimension of the coordinate space, sum of n_i^2."""
         return sum(n * n for n in self.block_dims)
@@ -56,12 +56,17 @@ class BlockStructure:
         """Dimension of the underlying Hilbert space, sum of n_i."""
         return sum(self.block_dims)
 
-    def coord_slices(self):
+    def coord_slices(self) -> tuple:
+        """The slice of each block's n_i^2 coordinates, built once per structure."""
+        return self._coord_slices
+
+    @functools.cached_property
+    def _coord_slices(self) -> tuple:
         out, off = [], 0
         for n in self.block_dims:
             out.append(slice(off, off + n * n))
             off += n * n
-        return out
+        return tuple(out)
 
     def space_slices(self):
         out, off = [], 0

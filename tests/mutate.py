@@ -86,7 +86,7 @@ MUTANTS = {
     ),
     "fixed-space-first-generator": (
         FIXPOINT,
-        [("g.superop @ cols - cols for g in family.generators]", "g.superop @ cols - cols for g in family.generators[:1]]")],
+        [("_apply_all(family.superops, cols) - cols", "_apply_all(family.superops[:1], cols) - cols")],
     ),
     "norm-screen-no-margin": (
         VNALG,
@@ -127,13 +127,21 @@ MUTANTS = {
         FIXPOINT,
         [("choi_floor = choi_min_eig(r, emb.ambient, emb.corner)", "choi_floor = 0.0")],
     ),
+    "floor-probe-only": (
+        MATCORE,
+        [("    w[rest] = np.linalg.eigvalsh(h[rest])\n", "")],
+    ),
+    "floor-first-pivot-only": (
+        MATCORE,
+        [("    for k in range(n):\n        pivot = ", "    for k in range(min(n, 1)):\n        pivot = ")],
+    ),
     "psd-sqrt-screen-decides-alone": (
         MATCORE,
         [("herm_bad[herm_open] = op_norm(defect[herm_open]) > herm_bound[herm_open]", "herm_bad[herm_open] = True")],
     ),
     "cesaro-first-generator-only": (
         FIXPOINT,
-        [("    pw = family.superops\n    avg = ", "    pw = family.superops[:1]\n    avg = ")],
+        [("    pw = superops\n    avg = ", "    pw = superops[:1]\n    avg = ")],
     ),
     "kadison-schwarz-first-generator-only": (
         FIXPOINT,

@@ -1,5 +1,6 @@
 import argparse
 import copy
+import io
 import json
 
 import numpy as np
@@ -100,6 +101,17 @@ def test_reports_deterministic(tmp_path):
     jb = json.loads(out2.read_text())
     ja.pop("wall_time_s"), jb.pop("wall_time_s")
     assert ja == jb
+
+
+def test_report_is_written_as_json_dump_writes_it(tmp_path):
+    rep = cmd_analyze(demo_path(tmp_path, "leaky-damping"), {"samples": 15, "seed": 3})
+    out = tmp_path / "r.json"
+    write_report(rep, str(out))
+    text = out.read_text()
+    # json.dump of the written content gives the same bytes, floats included
+    want = io.StringIO()
+    json.dump(json.loads(text), want, indent=2, sort_keys=True)
+    assert text == want.getvalue() + "\n"
 
 
 def test_validate_flags_noncontractive_map(tmp_path):

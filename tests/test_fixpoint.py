@@ -321,6 +321,25 @@ def test_stacked_cesaro_and_defects_match_the_per_generator_loop():
             assert abs(got[key] - value) <= 1e-12 * value, (key, got[key], value)
 
 
+def test_cesaro_comparison_is_built_on_first_read(monkeypatch):
+    counts = count_calls(monkeypatch, ("fixpoint._cesaro_check",))
+    fam = mixture_family(3, dims=(2, 3), terms=3, d=2)
+    erg = ergodic_projection(fam)
+    property_suite(fam, seed=0, samples=20)
+    kernel_ideal_check(fam)
+    # no verdict reads the Cesaro comparison
+    assert counts["fixpoint._cesaro_check"] == 0
+    first = erg.diagnostics
+    assert erg.diagnostics is first
+    assert counts["fixpoint._cesaro_check"] == 1
+    assert list(first) == [
+        "fixed_dim", "splitting_cond", "cesaro_terms", "cesaro_steps", "cesaro_increment", "cesaro_gap",
+        "defects", "choi_floor", "one_excess",
+    ]
+    want = looped_cesaro(fam, erg.matrix)["cesaro_gap"]
+    assert abs(first["cesaro_gap"] - want) <= 1e-12 * want
+
+
 def hermitian_basis(structure, cols):
     """An orthonormal basis of a *-closed span rotated into Hermitian form, by one SVD of the real
     representation of the symmetrized candidates: the rebasing step of the stacked route."""

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from cpfix.errors import NotHermitian, NotPSD
 from cpfix.matcore import (
+    FLOOR_SCREEN_MIN,
     eig_hermitian,
+    hermitian_floor,
     is_psd,
     nullspace,
     nullspace_pair,
@@ -223,3 +225,102 @@ def test_hermitian_screen_leaves_open_matrices_to_the_exact_test():
     for root, a in zip(roots, stack):
         assert np.max(np.abs(root - psd_sqrt(a, 1e-10))) <= 1e-14
     assert bad_message(NotHermitian, np.stack([large, small])) == bad_message(NotHermitian, small)
+
+
+def plain_floor(stack):
+    """Reference: np.min(np.linalg.eigvalsh(stack), initial=np.inf), or the exception it raises."""
+    try:
+        return np.min(np.linalg.eigvalsh(stack), initial=np.inf)
+    except np.linalg.LinAlgError as exc:
+        return type(exc)
+
+
+def screened_floor(stack):
+    try:
+        return hermitian_floor(stack)
+    except np.linalg.LinAlgError as exc:
+        return type(exc)
+
+
+def floor_stack(kind, n, m, seed):
+    """An exactly Hermitian (m, n, n) stack of one adversarial kind, of operator norm about 1."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        g = random_complex(rng, m * n, n).reshape(m, n, n)
+    elif kind == "clustered":
+        # one spectrum in m random bases: every matrix holds the minimum up to rounding
+        w = np.sort(rng.standard_normal(n))
+        u = np.stack([random_unitary(rng, n) for _ in range(m)])
+        g = (u * w) @ u.conj().swapaxes(-1, -2)
+    elif kind == "kernel":
+        # PSD of rank below n: the minimum is 0 in exact arithmetic on every matrix
+        v = random_complex(rng, m * n, n - 1).reshape(m, n, n - 1)
+        g = v @ v.conj().swapaxes(-1, -2)
+    elif kind == "exact-zero":
+        # diagonal entries 0.0, -0.0 and 1.0: exact kernels, whose computed minimum is a signed zero
+        g = np.zeros((m, n, n), dtype=complex)
+        g[:, np.arange(n), np.arange(n)] = rng.choice([0.0, -0.0, 1.0], size=(m, n))
+    elif kind == "repeated":
+        # integer spectra with repeated eigenvalues, in random bases for half of the matrices
+        w = rng.integers(-2, 3, size=(m, n)).astype(float)
+        u = np.stack([random_unitary(rng, n) if k % 2 else np.eye(n) for k in range(m)])
+        g = (u * w[:, None, :]) @ u.conj().swapaxes(-1, -2)
+    else:  # "noise": the rounding residue of a PSD identity, where every minimum is of order eps
+        g = 1e-16 * random_complex(rng, m * n, n).reshape(m, n, n)
+    return 0.5 * (g + g.conj().swapaxes(-1, -2))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(["random", "clustered", "kernel", "exact-zero", "repeated", "noise"]),
+    st.sampled_from([1, 2, 3, 4, 7]),
+    st.integers(min_value=FLOOR_SCREEN_MIN - 8, max_value=3 * FLOOR_SCREEN_MIN),
+    st.floats(min_value=-17.0, max_value=3.0),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_hermitian_floor_equals_eigvalsh_bitwise(kind, n, m, log_scale, seed):
+    stack = 10.0**log_scale * floor_stack(kind, n, m, seed)
+    want = plain_floor(stack)
+    assert np.float64(hermitian_floor(stack)).tobytes() == np.float64(want).tobytes()
+    # the Hermitian part of a general stack, and two stacks of different sizes at once
+    general = stack + 10.0**log_scale * random_complex(np.random.default_rng(seed), m * n, n).reshape(m, n, n)
+    assert hermitian_floor(general) == plain_floor(0.5 * (general + general.conj().swapaxes(-1, -2)))
+    other = floor_stack("random", n + 1, FLOOR_SCREEN_MIN, seed + 1)
+    assert hermitian_floor(stack, other) == min(want, plain_floor(other))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 4, 7]),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+    st.booleans(),
+)
+def test_hermitian_floor_non_finite_entry(n, seed, value, on_diagonal):
+    # a non-finite entry placed symmetrically: the same value or the same exception as eigvalsh
+    rng = np.random.default_rng(seed)
+    stack = floor_stack("random", n, 2 * FLOOR_SCREEN_MIN, seed)
+    k, i = int(rng.integers(len(stack))), int(rng.integers(n))
+    j = i if on_diagonal or n == 1 else (i + 1) % n
+    stack[k, i, j] = stack[k, j, i] = value
+    with np.errstate(invalid="ignore"):  # the Hermitian part of a complex inf has a nan imaginary part
+        want = plain_floor(0.5 * (stack + stack.conj().swapaxes(-1, -2)))
+        got = screened_floor(stack)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert np.isnan(got) and np.isnan(want) or np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_hermitian_floor_of_no_matrix_is_inf():
+    assert hermitian_floor() == np.inf
+    assert hermitian_floor(np.zeros((0, 3, 3), dtype=complex)) == np.inf
+    assert hermitian_floor(np.zeros((2, 0, 4, 4)), np.zeros((0, 2, 2))) == np.inf
+
+
+def test_hermitian_floor_solves_what_the_probes_and_the_first_pivot_miss():
+    # the probes are the matrices of smallest diagonal entry, 0.5 I here; [[1, 2], [2, 1]] has the
+    # larger diagonal but the eigenvalue -1, and its first Cholesky pivot of H - 0.5 I passes
+    stack = np.stack([0.5 * np.eye(2, dtype=complex)] * FLOOR_SCREEN_MIN + [np.array([[1.0, 2.0], [2.0, 1.0]])])
+    assert hermitian_floor(stack) == plain_floor(stack) == -1.0
+    assert hermitian_floor(stack[::-1]) == -1.0

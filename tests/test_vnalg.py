@@ -48,6 +48,16 @@ def test_embed_placement_and_norm():
     assert abs(x.norm() - 3.0) < 1e-12
 
 
+def test_coordinate_slices_are_built_once_per_structure():
+    st = BlockStructure((2, 3, 1))
+    assert st.coord_slices() is st.coord_slices()
+    assert st.coord_slices() == (slice(0, 4), slice(4, 13), slice(13, 14))
+    assert st.coord_dim == 14
+    # equal structures compare and hash by their block sizes alone, built or not
+    fresh = BlockStructure((2, 3, 1))
+    assert fresh == st and hash(fresh) == hash(st) and fresh.coord_slices() == st.coord_slices()
+
+
 def test_coords_roundtrip_and_trace_inner_product():
     rng = np.random.default_rng(0)
     st = BlockStructure((2, 3))
