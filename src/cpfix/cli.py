@@ -106,9 +106,12 @@ def decode_matrix(obj, what: str) -> np.ndarray:
         width = len(row)
         out = []
         for c, z in enumerate(row):
-            if not (isinstance(z, list) and len(z) == 2):
-                raise ParseError(f"{what}: entry ({r},{c}) is not an [re, im] pair")
-            out.append(complex(float(z[0]), float(z[1])))
+            if not (isinstance(z, list) and len(z) == 2 and all(type(v) in (int, float) for v in z)):
+                raise ParseError(f"{what}: entry ({r},{c}) is not an [re, im] pair of numbers")
+            try:
+                out.append(complex(float(z[0]), float(z[1])))
+            except OverflowError:  # an integer beyond the float range; type() above keeps bool out
+                raise ParseError(f"{what}: non-finite entry") from None
         rows.append(out)
     m = np.array(rows, dtype=complex)
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
@@ -158,6 +161,8 @@ def decode_map(structure: BlockStructure, entry: dict, index: int) -> tuple:
         if not (0 <= j < structure.num_blocks and 0 <= i < structure.num_blocks):
             raise ParseError(f"maps[{index}] ({name}): block key {key!r} out of range")
         nj, ni = structure.block_dims[j], structure.block_dims[i]
+        if not isinstance(ops, list):
+            raise ParseError(f"maps[{index}] ({name}) kraus {key}: expected a list of matrices")
         mats = []
         for m_idx, mat in enumerate(ops):
             m = decode_matrix(mat, f"maps[{index}] ({name}) kraus {key}[{m_idx}]")
@@ -194,10 +199,10 @@ def load_problem(path: str, overrides: dict | None = None) -> Problem:
     algebra = data.get("algebra")
     if not isinstance(algebra, dict) or "blocks" not in algebra:
         raise ParseError("missing algebra.blocks")
-    try:
-        structure = BlockStructure(tuple(int(n) for n in algebra["blocks"]))
-    except (TypeError, ValueError, CpfixError) as exc:
-        raise ParseError(f"bad algebra.blocks: {exc}") from exc
+    blocks = algebra["blocks"]
+    if not (isinstance(blocks, list) and blocks and all(type(n) is int and n > 0 for n in blocks)):
+        raise ParseError(f"bad algebra.blocks: expected a nonempty list of positive integers, got {blocks!r}")
+    structure = BlockStructure(tuple(blocks))
     raw_maps = data.get("maps")
     if not isinstance(raw_maps, list) or not raw_maps:
         raise ParseError("missing maps list")
@@ -413,7 +418,7 @@ def cmd_analyze(path: str, overrides: dict | None = None) -> dict:
         erg = None
         entries.append(entry("ergodic_projection", "ERROR", {}, str(exc)))
     if erg is not None:
-        krep = kernel_ideal_check(family, seed=cfg.seed)
+        krep = kernel_ideal_check(family)
         entries.append(
             entry(
                 "kernel_ideal",
@@ -489,7 +494,7 @@ def cmd_dilation(path: str, overrides: dict | None = None) -> dict:
         )
     )
     try:
-        krep = kernel_ideal_check(instance.phi, seed=cfg.seed)
+        krep = kernel_ideal_check(instance.phi)
         entries.append(
             entry(
                 "kernel_ideal",
@@ -616,7 +621,7 @@ def _demo_leaky_damping(params: dict) -> dict:
 
 def _demo_random_mixture(params: dict) -> dict:
     seed = int(params.get("seed", 0))
-    dims = tuple(int(v) for v in params.get("dims", (2, 3)))
+    dims = tuple(int(v) for v in np.atleast_1d(params.get("dims", (2, 3))))  # "dims=12" is one block of 12
     terms = int(params.get("terms", 3))
     d = int(params.get("d", 1))
     fam, _ = mixture_family_with_data(seed, dims=dims, terms=terms, d=d)

@@ -76,8 +76,6 @@ SQRT_TOL = 1e-8  # vector_bound: psd_sqrt of Phi(x*x) - x*x clamps eigenvalues d
 MONO_STEPS = 10  # diagonal steps of the monotone net
 SAMPLE_NORM_FLOOR = 1e-30  # kadison_schwarz scales each sample by 1 / max(its coordinate norm, this)
 S_MAX = 10  # largest power of each generator in the vector bound
-# random combinations of fixed-basis elements that join the basis as ideal generators
-EXTRA_GENERATORS = 8
 
 
 def _orthonormal_columns(m: np.ndarray) -> np.ndarray:
@@ -558,7 +556,6 @@ class KernelIdealReport:
     max_subspace_gap: float
     rho_invariance_residual: float
     passed: bool
-    seed: int
     note: str = ""
 
 
@@ -571,10 +568,13 @@ def kernel_ideal_check(
 ) -> KernelIdealReport:
     """Compare ker(Phi) inside C*(N^phi) with the ideal its defects generate.
 
-    The ideal is generated by x*x - Phi(x*x) over fixed-basis elements and
-    random combinations, then grown by left and right multiplication with
-    C* basis elements until the span stabilizes.  Each round appends, for
-    every ideal column q and C* basis column bb in turn, bb q and q bb.
+    By polarization the defects x*x - Phi(x*x) over x in N^phi span the
+    same space as the r^2 defects b_i* b_j - Phi(b_i* b_j) of the fixed
+    basis, in the order `for i: for j`.  Those generate the ideal, which
+    grows by left and right multiplication with C* basis elements until
+    the span stabilizes.  Each round appends, for every ideal column q and
+    C* basis column bb in turn, bb q and q bb.
+    `seed` is accepted and ignored.
     """
     if fs is None:
         fs = fixed_space(family)
@@ -583,16 +583,15 @@ def kernel_ideal_check(
     if erg is None:
         erg = ergodic_projection(family)
     if cs.dimension == 0:
-        return KernelIdealReport(0, 0, 0.0, 0.0, True, seed, note="trivial fixed space")
+        return KernelIdealReport(0, 0, 0.0, 0.0, True, note="trivial fixed space")
     b = cs.matrix
     rho = erg.matrix
     restricted = b.conj().T @ rho @ b
     invariance = float(op_norm(rho @ b - b @ restricted))
     kernel_cols = nullspace(restricted, KERNEL_TOL)
     st = cs.structure
-    rng = np.random.default_rng(seed)
-    x = np.hstack([fs.matrix, _combos(fs.matrix, rng.standard_normal((EXTRA_GENERATORS, 2, fs.dimension)))])
-    q = _product(st, _star(st, x), x)
+    r = fs.dimension
+    q = _product(st, _star(st, np.repeat(fs.matrix, r, axis=1)), np.tile(fs.matrix, r))
     gens = b.conj().T @ (rho @ q - q)
     ideal = _orthonormal_columns(gens[:, np.linalg.norm(gens, axis=0) > IDEAL_GEN_TOL])
     c = cs.dimension
@@ -607,13 +606,12 @@ def kernel_ideal_check(
     gaps = np.concatenate([span_distance(ideal, kernel_cols), span_distance(kernel_cols, ideal)])
     gap = float(np.max(gaps, initial=0.0))
     passed = kernel_cols.shape[1] == ideal.shape[1] and gap <= SPAN_TOL and invariance <= SPAN_TOL
-    return KernelIdealReport(
-        int(kernel_cols.shape[1]), int(ideal.shape[1]), float(gap), invariance, bool(passed), seed
-    )
+    return KernelIdealReport(int(kernel_cols.shape[1]), int(ideal.shape[1]), float(gap), invariance, bool(passed))
 
 
-# Stacked samples.  The property suite draws, multiplies and checks all of
-# its samples at once, one element per column of a (D, S) coordinate block.
+# Stacked columns.  The property suite multiplies and checks each row at
+# once, one element per column of a (D, S) coordinate block: a sample of
+# the three sampled rows, or a basis element of the four basis rows.
 
 
 def _hermitian_floor(structure: BlockStructure, vs) -> float:
@@ -667,14 +665,14 @@ class SuiteReport:
         return all(item.passed for item in self.items.values())
 
 
-def _lifting_item(structure, residuals, errors, threshold, samples, note) -> ItemResult:
-    """Row of a lifting identity: the worst residual norm, or inf noting the last sample's error."""
+def _lifting_item(structure, residuals, errors, threshold, note) -> ItemResult:
+    """Row of a lifting identity over the residual columns: the worst norm, or inf noting the last column's error."""
     failed = [err for err in errors if err is not None]
     if failed:
         worst, note = np.inf, f"{note}; {failed[-1]}".strip("; ")
     else:
         worst = float(np.max(_norms(structure, residuals), initial=0.0))
-    return ItemResult("PASS" if worst <= threshold else "FAIL", worst, threshold, samples, note=note)
+    return ItemResult("PASS" if worst <= threshold else "FAIL", worst, threshold, residuals.shape[1], note=note)
 
 
 def property_suite(
@@ -690,11 +688,14 @@ def property_suite(
     the lifting identity pi(E(x)) = x and the factorization E(pi(y)) =
     Phi(y)).  Item failures never raise; they are reported as FAIL rows.
 
-    Each item draws its samples as arrays and works on them as one (D, S)
-    coordinate block, with every generator in one stacked product.  All but
-    the vector bound draw the numbers of one draw per sample, in sample
-    order; the vector bound draws four arrays in turn: the normals of x, of
-    a, of h, then the multi-indices s.
+    A basis decides the four linear rows, with no draws: limit_vs_mean and
+    factorization on the C*(N^phi) basis, choi_effros on the ordered pairs
+    of its columns, lift_identity on the M^alpha basis; `count` is the
+    number of columns.  kadison_schwarz, monotone_net and vector_bound draw
+    `samples` each, in that order: the first two one draw per sample, the
+    vector bound four arrays in turn (the normals of x, of a, of h, then
+    the multi-indices s).  Every row is one (D, S) coordinate block, with
+    every generator in one stacked product.
     The rows that need rho FAIL with its error when ergodic_projection
     raised on the family.
     """
@@ -713,7 +714,8 @@ def property_suite(
     except CpfixError as exc:
         erg_error = str(exc)
     rho = None if erg is None else erg.matrix
-    trivial = fs.dimension == 0
+    b, c = cs.matrix, cs.dimension  # c = 0 exactly when N^phi = 0
+    rb = None if rho is None else rho @ b
 
     # Kadison-Schwarz: phi(x)* phi(x) <= phi(x*x) for every generator.
     # Per sample, n^2 real and then n^2 imaginary parts per block, as one random element draws them.
@@ -735,7 +737,7 @@ def property_suite(
     )
 
     # Monotone net: phi_{s+e_i}(x*x) >= phi_s(x*x) along the diagonal, x fixed.
-    if trivial:
+    if c == 0:
         items["monotone_net"] = ItemResult("PASS", 0.0, PSD_FLOOR, 0, note="trivial fixed space")
     else:
         x = _combos(fs.matrix, rng.standard_normal((samples, 2, fs.dimension)))
@@ -751,47 +753,40 @@ def property_suite(
             "PASS" if worst >= -PSD_FLOOR else "FAIL", float(worst), PSD_FLOOR, samples
         )
 
-    # Diagonal limit of phi_s(x*x) exists and matches the mean projection.
-    if trivial:
+    # Diagonal limits of the C*(N^phi) basis exist and match the mean projection.
+    if c == 0:
         items["limit_vs_mean"] = ItemResult("PASS", 0.0, LIMIT_TOL, 0, note="trivial fixed space")
     elif erg is None:
         items["limit_vs_mean"] = ItemResult("FAIL", np.inf, LIMIT_TOL, 0, note=erg_error)
     else:
-        x = _combos(fs.matrix, rng.standard_normal((samples, 2, fs.dimension)))
-        q = _product(st, _star(st, x), x)
-        lims, errors = _diagonal_limits(family, q, "")
+        lims, errors = _diagonal_limits(family, b, "")
         converged = np.array([err is None for err in errors], dtype=bool)
         failed = [err for err in errors if err is not None]
-        worst = float(np.max(_norms(st, (lims - rho @ q)[:, converged]), initial=0.0))
-        note = f"divergent on {len(failed)} samples: {failed[-1]}" if failed else ""
+        worst = float(np.max(_norms(st, (lims - rb)[:, converged]), initial=0.0))
+        note = f"divergent on {len(failed)} basis columns: {failed[-1]}" if failed else ""
         status = "PASS" if not failed and worst <= LIMIT_TOL else "FAIL"
-        items["limit_vs_mean"] = ItemResult(status, worst, LIMIT_TOL, samples, note=note)
+        items["limit_vs_mean"] = ItemResult(status, worst, LIMIT_TOL, c, note=note)
 
-    # Choi-Effros identity for the idempotent Phi on C*(N^phi).
-    if cs.dimension == 0:
+    # Choi-Effros identity for the idempotent Phi on C*(N^phi), on every ordered pair of basis columns.
+    if c == 0:
         items["choi_effros"] = ItemResult("PASS", 0.0, CHOI_EFFROS_TOL, 0, note="trivial fixed space")
     elif erg is None:
         items["choi_effros"] = ItemResult("FAIL", np.inf, CHOI_EFFROS_TOL, 0, note=erg_error)
     else:
-        # x and y are drawn alternately, one pair per sample
-        g = rng.standard_normal((samples, 2, 2, cs.dimension))
-        x, y = _combos(cs.matrix, g[:, 0]), _combos(cs.matrix, g[:, 1])
-        a = rho @ x
-        gap = rho @ _product(st, a, y) - rho @ _product(st, a, rho @ y)
+        a = np.repeat(rb, c, axis=1)  # column i c + j pairs rho(b_i) with b_j
+        gap = rho @ _product(st, a, np.tile(b, c)) - rho @ _product(st, a, np.tile(rb, c))
         worst = float(np.max(_norms(st, gap), initial=0.0))
-        items["choi_effros"] = ItemResult(
-            "PASS" if worst <= CHOI_EFFROS_TOL else "FAIL", worst, CHOI_EFFROS_TOL, samples
-        )
+        items["choi_effros"] = ItemResult("PASS" if worst <= CHOI_EFFROS_TOL else "FAIL", worst, CHOI_EFFROS_TOL, c * c)
 
     # Vector inequality ||phi_s(a y^{1/2}) h||^2 <= ||a||^2 (phi_s(y) h, h).
-    if trivial:
+    if c == 0:
         items["vector_bound"] = ItemResult("PASS", 0.0, VECTOR_TOL, 0, note="trivial fixed space")
     elif erg is None:
         items["vector_bound"] = ItemResult("FAIL", np.inf, VECTOR_TOL, 0, note=erg_error)
     else:
         # four arrays in turn: the normals of x, of a and of h, then the multi-indices s
         gx = rng.standard_normal((samples, 2, fs.dimension))
-        ga = rng.standard_normal((samples, 2, cs.dimension))
+        ga = rng.standard_normal((samples, 2, c))
         gh = rng.standard_normal((samples, 2, st.space_dim))
         s_idx = rng.integers(0, S_MAX + 1, size=(samples, family.rank))
         h = gh[:, 0] + 1j * gh[:, 1]
@@ -799,8 +794,8 @@ def property_suite(
         x = _combos(fs.matrix, gx)
         q = _product(st, _star(st, x), x)
         y = rho @ q - q
-        root = _coords([psd_sqrt(b, SQRT_TOL) for b in _blocks(st, y)])
-        a = _combos(cs.matrix, ga)
+        root = _coords([psd_sqrt(blk, SQRT_TOL) for blk in _blocks(st, y)])
+        a = _combos(b, ga)
         powers = np.empty((family.rank, S_MAX + 1, st.coord_dim, st.coord_dim), dtype=complex)
         powers[:, 0] = np.eye(st.coord_dim)
         for k in range(S_MAX):
@@ -824,21 +819,19 @@ def property_suite(
         note = "" if minimal else "minimality check: instance is non-minimal; lifting identity expected to fail"
         fs_ambient = fixed_space(instance.alpha)
 
+        # pi(E(f)) = f on the M^alpha basis F, and E(pi(b)) = Phi(b) on the C*(N^phi) basis B
         if fs_ambient.dimension == 0:
             items["lift_identity"] = ItemResult("PASS", 0.0, EQ_TOL, 0, note="trivial ambient fixed space")
         else:
-            x = _combos(fs_ambient.matrix, rng.standard_normal((samples, 2, fs_ambient.dimension)))
-            z, errors = _pi_limits(instance, _compressed(instance.emb, x))
-            items["lift_identity"] = _lifting_item(instance.structure, z - x, errors, EQ_TOL, samples, note)
+            f = fs_ambient.matrix
+            z, errors = _pi_limits(instance, _compressed(instance.emb, f))
+            items["lift_identity"] = _lifting_item(instance.structure, z - f, errors, EQ_TOL, note)
 
-        if cs.dimension == 0 or erg is None:
-            note2 = "trivial fixed space" if cs.dimension == 0 else erg_error
-            status = "PASS" if cs.dimension == 0 else "FAIL"
-            items["factorization"] = ItemResult(status, 0.0, LIMIT_TOL, 0, note=note2)
+        if c == 0 or erg is None:
+            note2 = erg_error if c else "trivial fixed space"
+            items["factorization"] = ItemResult("FAIL" if c else "PASS", 0.0, LIMIT_TOL, 0, note=note2)
         else:
-            y = _combos(cs.matrix, rng.standard_normal((samples, 2, cs.dimension)))
-            z, errors = _pi_limits(instance, y)
-            residuals = _compressed(instance.emb, z) - rho @ y
-            items["factorization"] = _lifting_item(st, residuals, errors, LIMIT_TOL, samples, note)
+            z, errors = _pi_limits(instance, b)
+            items["factorization"] = _lifting_item(st, _compressed(instance.emb, z) - rb, errors, LIMIT_TOL, note)
 
     return SuiteReport(items, seed, samples)

@@ -147,6 +147,13 @@ MUTANTS = {
         FIXPOINT,
         [("_apply_all(family.superops, np.hstack([x, xx]))", "_apply_all(family.superops[:1], np.hstack([x, xx]))")],
     ),
+    "kernel-ideal-squares-only": (
+        FIXPOINT,
+        [(
+            "q = _product(st, _star(st, np.repeat(fs.matrix, r, axis=1)), np.tile(fs.matrix, r))",
+            "q = _product(st, _star(st, fs.matrix), fs.matrix)",
+        )],
+    ),
     "monotone-net-constant-worst": (
         FIXPOINT,
         [("        worst = _hermitian_floor(st, diffs)\n        items[\"monotone_net\"]",

@@ -1,5 +1,6 @@
 import argparse
 import copy
+import functools
 import io
 import json
 
@@ -354,3 +355,50 @@ def test_tasks_round_trip(tmp_path):
     assert len(tasks) == 1
     assert tasks[0]["status"] == "PASS"
     assert "diverges" in tasks[0]["note"]
+
+
+
+KRAUS_ENTRY = ("maps", 0, "kraus", "0,0", 0, 0, 0)
+PROJECTION_ENTRY = ("projection", 0, 0, 0)
+TASK_ENTRY = ("tasks", 0, "element", 0, 0, 0)
+BLOCKS = ("algebra", "blocks")
+
+# case -> (command, demo family, path into the demo file, value put there, start of the error message)
+BAD_NUMBERS = {
+    "kraus-string-entry": ("analyze", "damping", KRAUS_ENTRY, ["abc", 0], "maps[0]"),
+    "kraus-null-entry": ("analyze", "damping", KRAUS_ENTRY, [None, 0], "maps[0]"),
+    "kraus-bool-entry": ("analyze", "damping", KRAUS_ENTRY, [True, 0], "maps[0]"),
+    "kraus-huge-integer-entry": ("analyze", "damping", KRAUS_ENTRY, [10**400, 0], "maps[0]"),
+    "kraus-value-not-a-list": ("analyze", "damping", KRAUS_ENTRY[:4], 5, "maps[0]"),
+    "projection-string-entry": ("dilation", "tail-shift", PROJECTION_ENTRY, ["abc", 0], "projection"),
+    "projection-null-entry": ("dilation", "tail-shift", PROJECTION_ENTRY, [0, None], "projection"),
+    "task-string-entry": ("analyze", "rotation", TASK_ENTRY, ["abc", 0], "offdiagonal_orbit"),
+    "task-bool-entry": ("analyze", "rotation", TASK_ENTRY, [0, False], "offdiagonal_orbit"),
+    "blocks-float": ("analyze", "damping", BLOCKS, [2.7], "bad algebra.blocks"),
+    "blocks-string": ("analyze", "damping", BLOCKS, "22", "bad algebra.blocks"),
+    "blocks-bool": ("analyze", "damping", BLOCKS, [True], "bad algebra.blocks"),
+    "blocks-zero": ("analyze", "damping", BLOCKS, [0], "bad algebra.blocks"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_bad_number_exits_two_without_traceback(tmp_path, capsys, case):
+    command, family, where, value, message = BAD_NUMBERS[case]
+    path = tmp_path / "bad.json"
+    data = cmd_demo(family, {}, str(path))
+    functools.reduce(lambda node, key: node[key], where[:-1], data)[where[-1]] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(ParseError):
+        (cmd_analyze if command == "analyze" else cmd_dilation)(str(path))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("dims, blocks", [("12", [12]), ("2,3", [2, 3])])
+def test_demo_dims_reads_one_value_as_one_block(tmp_path, capsys, dims, blocks):
+    out = tmp_path / "mix.json"
+    assert main(["demo", "random-mixture", f"dims={dims}", "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text())["algebra"]["blocks"] == blocks

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import functools
+import itertools
 import warnings
 
 import numpy as np
@@ -978,7 +980,14 @@ def looped_cstar_closure(fs):
     return mat, bool(np.linalg.norm(one - mat @ (mat.conj().T @ one)) <= 1e-8)
 
 
-def looped_kernel_ideal(family, rng):
+def defect_coords(family, pairs):
+    """C*(N^phi) coordinates of x*y - Phi(x*y) over the given pairs of elements, one element at a time."""
+    b = cstar_closure(fixed_space(family)).matrix
+    erg = ergodic_projection(family)
+    return [b.conj().T @ (erg.apply(x.adjoint() @ y) - x.adjoint() @ y).coords() for x, y in pairs]
+
+
+def looped_kernel_ideal(family):
     """kernel_ideal_check one element at a time: (dim_kernel, dim_ideal, gap, invariance, passed)."""
     fs = fixed_space(family)
     cs = cstar_closure(fs)
@@ -989,12 +998,7 @@ def looped_kernel_ideal(family, rng):
     restricted = b.conj().T @ erg.matrix @ b
     invariance = op_norm(erg.matrix @ b - b @ restricted)
     kernel = nullspace(restricted, 1e-10)
-    gens = []
-    for x in list(fs.basis) + [combo(fs.matrix, st, rng) for _ in range(8)]:
-        q = x.adjoint() @ x
-        coeff = b.conj().T @ (erg.apply(q) - q).coords()
-        if np.linalg.norm(coeff) > 1e-10:
-            gens.append(coeff)
+    gens = [v for v in defect_coords(family, itertools.product(fs.basis, repeat=2)) if np.linalg.norm(v) > 1e-10]
     ideal = _orthonormal_columns(np.column_stack(gens)) if gens else np.zeros((cs.dimension, 0))
     cs_basis = [element_from_coords(st, col) for col in b.T]
     for _ in range(cs.dimension + 1):
@@ -1016,16 +1020,20 @@ def looped_kernel_ideal(family, rng):
     return kernel.shape[1], ideal.shape[1], gap, invariance, passed
 
 
+def leaky_first_factor():
+    """Leaky damping on the first factor of M_2 (x) M_2: a 4-dimensional kernel in a noncommutative algebra."""
+    m4 = BlockStructure((4,))
+    ops = leaky_damping_family(0.6, 0.5).generators[0].ops(0, 0)
+    return make_family([cp_map(m4, m4, {(0, 0): [np.kron(a, np.eye(2)) for a in ops]})])
+
+
 def oracle_families():
     """Mixtures (d = 1, 2), leaky dampings, and the corners of tail-shift, random and non-minimal dilations."""
     yield from (mixture_family(seed, dims=(2, 3), terms=3, d=d) for seed in (1, 4) for d in (1, 2))
     # phase collisions: fixed spaces of dimension 9 and 7, beyond the diagonal
     yield from (mixture_family(25, dims=(2, 3), terms=1, d=d) for d in (1, 2))
-    leaky = leaky_damping_family(0.6, 0.5)
-    yield leaky
-    # leaky damping on the first factor of M_2 (x) M_2: a 4-dimensional kernel in a noncommutative algebra
-    m4 = BlockStructure((4,))
-    yield make_family([cp_map(m4, m4, {(0, 0): [np.kron(a, np.eye(2)) for a in leaky.generators[0].ops(0, 0)]})])
+    yield leaky_damping_family(0.6, 0.5)
+    yield leaky_first_factor()
     yield build_tail_shift(2, 3, np.diag([1.0, np.exp(0.9j)])).phi
     yield from (build_random_instance(seed, n_max=3, m_max=4, d=2).phi for seed in (4, 11))
     yield nonminimal_identity_instance().phi
@@ -1055,16 +1063,65 @@ def test_cstar_closure_matches_looped_reference():
 def test_kernel_ideal_matches_looped_reference():
     kernels = []
     for idx, family in enumerate(oracle_families()):
-        # default_rng passes a Generator through, so each state after the run shows what was drawn
-        rng, looped_rng = np.random.default_rng(idx), np.random.default_rng(idx)
+        # default_rng passes a Generator through, so an unchanged state shows that nothing was drawn
+        rng = np.random.default_rng(idx)
+        state = copy.deepcopy(rng.bit_generator.state)
         rep = kernel_ideal_check(family, seed=rng)
-        dim_kernel, dim_ideal, gap, invariance, passed = looped_kernel_ideal(family, looped_rng)
+        dim_kernel, dim_ideal, gap, invariance, passed = looped_kernel_ideal(family)
         assert (rep.dim_kernel, rep.dim_ideal, rep.passed) == (dim_kernel, dim_ideal, passed)
         assert abs(rep.max_subspace_gap - gap) <= 1e-12
         assert abs(rep.rho_invariance_residual - invariance) <= 1e-12
-        assert rng.bit_generator.state == looped_rng.bit_generator.state
+        assert rng.bit_generator.state == state
         kernels.append(dim_kernel)
     assert {1, 4} <= set(kernels)
+
+
+def test_basis_products_span_the_kernel_before_any_growth(monkeypatch):
+    # polarization: the r^2 defects b_i* b_j - Phi(b_i* b_j) span what every x*x - Phi(x*x) spans
+    family = leaky_first_factor()
+    basis = fixed_space(family).basis
+    products = np.column_stack(defect_coords(family, itertools.product(basis, repeat=2)))
+    squares = np.column_stack(defect_coords(family, [(x, x) for x in basis]))
+    assert (np.linalg.matrix_rank(products), np.linalg.matrix_rank(squares)) == (4, 2)
+    # with C*(N^phi) and rho cached, the check's first orthonormalization is that of its generators,
+    # ahead of any growth round
+    cstar_closure(fixed_space(family)), ergodic_projection(family)
+    spans = []
+    orthonormal = fixpoint._orthonormal_columns
+    monkeypatch.setattr(fixpoint, "_orthonormal_columns", lambda m: spans.append(orthonormal(m)) or spans[-1])
+    rep = kernel_ideal_check(family)
+    assert rep.passed and rep.dim_kernel == rep.dim_ideal == spans[0].shape[1] == 4
+    assert np.max(np.abs(projector(spans[0]) - projector(orthonormal(products)))) <= 1e-12
+
+
+SAMPLED_ROWS = ("kadison_schwarz", "monotone_net", "vector_bound")
+
+
+def test_basis_rows_and_kernel_ideal_ignore_seed_and_samples():
+    cases = (
+        mixture_family(7, dims=(2, 3), terms=3, d=2),
+        leaky_damping_family(0.6, 0.5),
+        build_random_instance(4, n_max=3, m_max=4, d=2),
+    )
+    seeds = (0, 1, 7)
+    for obj in cases:
+        family = obj.phi if isinstance(obj, DilationInstance) else obj
+        runs = {
+            (seed, samples): (property_suite(obj, seed=seed, samples=samples), kernel_ideal_check(family, seed=seed))
+            for seed in seeds
+            for samples in (5, 50)
+        }
+        first_suite, first_ideal = runs[(0, 5)]
+        basis_rows = set(first_suite.items) - set(SAMPLED_ROWS)
+        assert len(basis_rows) == (4 if isinstance(obj, DilationInstance) else 2)
+        for (seed, samples), (suite, ideal) in runs.items():
+            assert dataclasses.astuple(ideal) == dataclasses.astuple(first_ideal)
+            assert {key: suite.items[key] for key in basis_rows} == {key: first_suite.items[key] for key in basis_rows}
+            assert all(suite.items[key].count == samples for key in SAMPLED_ROWS)
+        for key in SAMPLED_ROWS:
+            worsts = {runs[(seed, 50)][0].items[key].worst for seed in seeds}
+            # the monotone net of leaky damping is exactly 0 on every sample (its increments have kernels)
+            assert len(worsts) == len(seeds) or (key, worsts) == ("monotone_net", {0.0}), (key, worsts)
 
 
 def test_property_suite_identity_zero_residuals():
@@ -1159,9 +1216,11 @@ def stepped_limit(family, x):
 
 
 def looped_suite(obj, rng, samples, mono_steps=10, s_max=10):
-    """Reference: the property suite one sample at a time, with one element and one Kraus apply per step.
+    """Reference: the property suite one sample or basis element at a time, with one Kraus apply per step.
 
-    Returns {item: (status, worst, count, note)} at the default thresholds.
+    Only kadison_schwarz, monotone_net and vector_bound draw from rng; the
+    other four rows loop over basis elements.  Returns
+    {item: (status, worst, count, note)} at the default thresholds.
     """
     instance = obj if isinstance(obj, DilationInstance) else None
     family = instance.phi if instance is not None else obj
@@ -1195,24 +1254,21 @@ def looped_suite(obj, rng, samples, mono_steps=10, s_max=10):
                 y = stepped
     items["monotone_net"] = ("PASS" if worst >= -1e-9 else "FAIL", worst, samples, "")
 
+    cs_basis = [element_from_coords(st, col) for col in cs.matrix.T]
     worst, failures, note = 0.0, 0, ""
-    for _ in range(samples):
-        x = combo(fs.matrix, st, rng)
-        q = x.adjoint() @ x
+    for q in cs_basis:
         try:
             worst = max(worst, (stepped_limit(family, q) - erg.apply(q)).norm())
         except Divergent as exc:
             failures += 1
-            note = f"divergent on {failures} samples: {exc}"
-    items["limit_vs_mean"] = ("PASS" if failures == 0 and worst <= 1e-7 else "FAIL", worst, samples, note)
+            note = f"divergent on {failures} basis columns: {exc}"
+    items["limit_vs_mean"] = ("PASS" if failures == 0 and worst <= 1e-7 else "FAIL", worst, len(cs_basis), note)
 
     worst = 0.0
-    for _ in range(samples):
-        x = combo(cs.matrix, st, rng)
-        y = combo(cs.matrix, st, rng)
+    for x, y in itertools.product(cs_basis, repeat=2):
         a = erg.apply(x)
         worst = max(worst, (erg.apply(a @ y) - erg.apply(a @ erg.apply(y))).norm())
-    items["choi_effros"] = ("PASS" if worst <= 1e-9 else "FAIL", worst, samples, "")
+    items["choi_effros"] = ("PASS" if worst <= 1e-9 else "FAIL", worst, len(cs_basis) ** 2, "")
 
     # the four arrays of the vector bound, in turn: normals of x, of a and of h, then the multi-indices
     gx = rng.standard_normal((samples, 2, fs.dimension))
@@ -1243,8 +1299,8 @@ def looped_suite(obj, rng, samples, mono_steps=10, s_max=10):
             ("factorization", cs.matrix, st, 1e-7),
         ):
             worst, note = 0.0, base
-            for _ in range(samples):
-                x = combo(basis, structure, rng)
+            for col in basis.T:
+                x = element_from_coords(structure, col)
                 try:
                     if key == "lift_identity":
                         residual = stepped_limit(instance.alpha, inject(instance.emb, compress(instance.emb, x))) - x
@@ -1253,7 +1309,7 @@ def looped_suite(obj, rng, samples, mono_steps=10, s_max=10):
                     worst = max(worst, residual.norm())
                 except CpfixError as exc:
                     worst, note = np.inf, f"{base}; {exc}".strip("; ")
-            items[key] = ("PASS" if worst <= threshold else "FAIL", worst, samples, note)
+            items[key] = ("PASS" if worst <= threshold else "FAIL", worst, basis.shape[1], note)
     return items
 
 
@@ -1293,7 +1349,7 @@ def test_property_suite_divergent_limit_matches_looped_reference():
     rep = assert_suite_matches_loop(leaky_damping_family(np.sqrt(1.0 - 1e-8), np.sqrt(0.5e-8)), 15, 2)
     item = rep.items["limit_vs_mean"]
     assert item.status == "FAIL"
-    assert item.note.startswith("divergent on 2 samples: no convergence within 1048575 steps (last increment")
+    assert item.note.startswith("divergent on 2 basis columns: no convergence within 1048575 steps (last increment")
 
 
 def rebased(family, unitaries, order):
