@@ -106,11 +106,12 @@ def decode_matrix(obj, what: str) -> np.ndarray:
         width = len(row)
         out = []
         for c, z in enumerate(row):
+            # type(), not isinstance(): JSON true and false load as bool, a subclass of int
             if not (isinstance(z, list) and len(z) == 2 and all(type(v) in (int, float) for v in z)):
                 raise ParseError(f"{what}: entry ({r},{c}) is not an [re, im] pair of numbers")
             try:
                 out.append(complex(float(z[0]), float(z[1])))
-            except OverflowError:  # an integer beyond the float range; type() above keeps bool out
+            except OverflowError:  # an integer beyond the float range
                 raise ParseError(f"{what}: non-finite entry") from None
         rows.append(out)
     m = np.array(rows, dtype=complex)
