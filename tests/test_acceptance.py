@@ -154,14 +154,14 @@ def test_acceptance_5_negative_controls():
 def test_acceptance_6_kernel_ideal_everywhere():
     t0 = time.time()
     nontrivial = 0
-    for idx, (name, fam) in enumerate(bare_model_families()):
-        rep = cf.kernel_ideal_check(fam, seed=40_000 + idx)
+    for name, fam in bare_model_families():
+        rep = cf.kernel_ideal_check(fam)
         assert rep.passed, (name, rep)
         assert rep.dim_kernel == rep.dim_ideal, name
         nontrivial += rep.dim_kernel > 0
     for seed in range(5):
         inst = cf.build_random_instance(seed, n_min=2, n_max=3, m_max=3, d=1 + seed % 2)
-        rep = cf.kernel_ideal_check(inst.phi, seed=seed)
+        rep = cf.kernel_ideal_check(inst.phi)
         assert rep.passed and rep.dim_kernel == rep.dim_ideal, seed
     assert nontrivial >= 1  # the leaky-damping model has ker Phi of dimension 1
     elapsed = time.time() - t0
